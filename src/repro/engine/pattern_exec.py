@@ -18,26 +18,23 @@ from .traversal import restrict_endpoints, var_length_pairs
 
 
 def _element_pairs(graph: PropertyGraph, pattern: QueryPattern, el) -> DataFrame:
-    """The (src, dst) pair table matched by one pattern element."""
+    """The (src, dst) pair table matched by one pattern element. A path's
+    endpoint types go into the expansion: the source type filters its
+    first hop and the destination type the pairs it emits."""
+    st, dt = pattern.vtype(el.src), pattern.vtype(el.dst)
     if isinstance(el, PatternEdge):
         pairs = graph.typed_edges(el.etype).select("src", "dst").distinct()
-    elif isinstance(el, VarLengthPath):
-        edges = graph.typed_edges(el.etype)
-        zero = None
-        if el.lower == 0:
-            st, dt = pattern.vtype(el.src), pattern.vtype(el.dst)
-            zero = graph.vertices
-            if st is not None:
-                zero = zero.where(F.col("vtype") == st)
-            if dt is not None:
-                zero = zero.where(F.col("vtype") == dt)
-            zero = zero.select("id")
-        pairs = var_length_pairs(edges, el.lower, el.upper, zero_vertices=zero)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown pattern element {el!r}")
-    return restrict_endpoints(
-        pairs, graph.vertices, pattern.vtype(el.src), pattern.vtype(el.dst)
-    )
+        return restrict_endpoints(pairs, graph.vertices, st, dt)
+    if isinstance(el, VarLengthPath):
+        return var_length_pairs(
+            graph.typed_edges(el.etype),
+            el.lower,
+            el.upper,
+            zero_vertices=graph.vertices,
+            sources=None if st is None else graph.typed_vertices(st),
+            targets=None if dt is None else graph.typed_vertices(dt),
+        )
+    raise TypeError(f"unknown pattern element {el!r}")  # pragma: no cover
 
 
 def _order_elements(pattern: QueryPattern) -> list:

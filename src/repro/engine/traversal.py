@@ -1,43 +1,163 @@
-"""Traversal primitives over edge DataFrames.
+"""Path expansion over edge DataFrames: one kernel under every traversal.
 
 All variable-length path semantics in this engine are *reachability*
 (distinct endpoint pairs), matching how the paper's workload consumes
 matches (every query groups or sets over the matched endpoints, and
 connector rewritings preserve reachability, not path multiplicity).
 
-Each k-step expansion is a shuffle join (broadcast joins are disabled by
-the session fixture); intermediates are persisted per step and lineage
-is cut with ``localCheckpoint`` so a 10-hop expansion does not build a
-10-deep join plan.
+:func:`expand` is the kernel. The k-hop and variable-length pairs, the
+max-``ts`` pairs of Q4, the walk counts of Fig. 5 and every connector in
+``repro.views.connectors`` are thin wrappers over it. It varies in three
+ways only: the value a walk carries (nothing, the max of an edge
+property, or the number of walks), which hop lengths it emits (exactly
+k, or any length in a range), and three vertex filters (``sources``
+filters hop 1, ``through`` the vertices a walk may continue from,
+``targets`` the emitted pairs).
+
+How it runs:
+
+- **Lineage is cut at a leaf.** The edge table is read once per call
+  into an adjacency of distinct (src, dst) pairs, partitioned by source
+  and, when a second hop will read it, local-checkpointed. Every hop's
+  frontier is local-checkpointed as well, so a hop's plan is two leaves
+  joined: the driver never plans against the edges' lineage again, and
+  a materialized view is read from its cache exactly once.
+- **The adjacency gets fresh column identities.** Its columns are
+  renamed (to ``_m``, ``_d``, ``_p``) before the checkpoint, so no
+  frontier carries the attribute IDs of the edge table it came from. A
+  frontier that kept them, joined with the edges again, made Spark's
+  self-join dedup re-instance the edge side. For a materialized
+  multi-hop connector the re-instanced plan no longer matched the cached
+  view, so every hop recomputed the view from its construction lineage
+  instead of reading it. The new names must differ from the old ones:
+  the optimizer drops an alias that keeps the name, and the checkpoint
+  would then record its partitioning over attributes it does not output.
+- **One exchange per hop.** The adjacency is partitioned by its source
+  and every frontier by its destination, so the hop join needs no
+  exchange on either side. The joined rows are repartitioned by their
+  new destination, and that single exchange also serves the dedup (or
+  max / sum) that follows, since grouping on (src, dst) is satisfied by
+  a partitioning on dst. All emitted frontiers share that partitioning,
+  so merging a range of hop lengths adds no exchange either. The price
+  is the map-side partial merge, which would need its own exchange on
+  (src, dst) and then another on dst for the next join; on the
+  soc-reach benchmark graph that layout shuffled more bytes, not fewer.
+
+Broadcast joins are disabled by the session, so every join takes the
+shuffle path the layout above is built for.
 """
 from __future__ import annotations
+
+import operator
+from functools import reduce
+from typing import Callable, NamedTuple
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def _pairs(edges: DataFrame) -> DataFrame:
-    return edges.select("src", "dst").distinct()
+class _Carry(NamedTuple):
+    """A value carried along walks."""
+
+    edge: Callable  # edge property name -> one edge's value
+    combine: Callable  # (walk value, next edge's value) -> extended walk's
+    merge: Callable  # aggregate over the walks between one pair
 
 
-def _step(frontier: DataFrame, edges: DataFrame) -> DataFrame:
-    """One expansion step: pairs (src, dst) ⋈ edges (dst → next)."""
-    e = edges.select(F.col("src").alias("_m"), F.col("dst").alias("_d"))
-    return (
-        frontier.join(e, frontier.dst == e._m)
-        .select(frontier.src, F.col("_d").alias("dst"))
-        .distinct()
+_CARRY = {
+    "max": _Carry(F.col, F.greatest, F.max),
+    "count": _Carry(lambda _prop: F.lit(1).cast("long"), operator.mul, F.sum),
+}
+
+
+def _keep(frame: DataFrame, col: str, vertices: DataFrame) -> DataFrame:
+    """Rows of ``frame`` whose ``col`` is the ``id`` of one of ``vertices``."""
+    return frame.join(vertices.select(F.col("id").alias(col)), col, "left_semi")
+
+
+def _merged(rows: DataFrame, keys: tuple, carry: str | None, col: str) -> DataFrame:
+    """``rows`` deduplicated on ``keys``, merging the carried ``col``."""
+    if carry is None:
+        return rows.distinct()
+    return rows.groupBy(*keys).agg(_CARRY[carry].merge(col).alias(col))
+
+
+def _adjacency(edges: DataFrame, carry: str | None, prop: str) -> DataFrame:
+    """(_m, _d[, _p]): distinct edges with the carried value merged over
+    parallel edges, partitioned by source ``_m``."""
+    cols = [F.col("src").alias("_m"), F.col("dst").alias("_d")]
+    if carry is not None:
+        cols.append(_CARRY[carry].edge(prop).alias("_p"))
+    adj = edges.select(*cols).repartition("_m")
+    return _merged(adj, ("_m", "_d"), carry, "_p")
+
+
+def _hop(frontier: DataFrame, adj: DataFrame, carry: str | None) -> DataFrame:
+    """Extend every walk of ``frontier`` by one edge of ``adj``."""
+    cols = [frontier.src, F.col("_d").alias("dst")]
+    if carry is not None:
+        cols.append(_CARRY[carry].combine(frontier.m, F.col("_p")).alias("m"))
+    stepped = (
+        frontier.join(adj, frontier.dst == adj._m).select(*cols).repartition("dst")
     )
+    return _merged(stepped, ("src", "dst"), carry, "m").localCheckpoint(eager=False)
+
+
+def expand(
+    edges: DataFrame,
+    lower: int,
+    upper: int,
+    carry: str | None = None,
+    prop: str = "ts",
+    sources: DataFrame | None = None,
+    through: DataFrame | None = None,
+    targets: DataFrame | None = None,
+) -> DataFrame:
+    """Distinct pairs ``(src, dst)`` connected by a walk of length in
+    ``[lower, upper]``, with ``hops`` = the shortest such length.
+
+    ``carry="max"`` adds ``m``, the maximum of edge property ``prop`` over
+    all edges of all such walks; ``carry="count"`` adds ``m``, the number
+    of such walks. ``sources``, ``through`` and ``targets`` are DataFrames
+    with an ``id`` column: walks start at a source, pass only through
+    ``through`` vertices, and are emitted only where they end at a target
+    (``None`` = no restriction).
+    """
+    if not 1 <= lower <= upper:
+        raise ValueError(f"need 1 <= lower <= upper, got [{lower}, {upper}]")
+    adj = _adjacency(edges, carry, prop)
+    if upper > 1:  # both are read again by every hop
+        adj = adj.localCheckpoint(eager=False)
+    cols = [F.col("_m").alias("src"), F.col("_d").alias("dst")]
+    if carry is not None:
+        cols.append(F.col("_p").alias("m"))
+    frontier = adj.select(*cols)
+    if sources is not None:
+        frontier = _keep(frontier, "src", sources)
+    if upper > 1:
+        frontier = frontier.repartition("dst").localCheckpoint(eager=False)
+    pieces = []
+    for k in range(1, upper + 1):
+        if k > 1:
+            if through is not None:
+                frontier = _keep(frontier, "dst", through)
+            frontier = _hop(frontier, adj, carry)
+        if k >= lower:
+            pieces.append(frontier.withColumn("hops", F.lit(k)))
+    pairs = reduce(DataFrame.unionByName, pieces)
+    if targets is not None:
+        pairs = _keep(pairs, "dst", targets)
+    if len(pieces) == 1:
+        return pairs
+    aggs = [] if carry is None else [_CARRY[carry].merge("m").alias("m")]
+    return pairs.groupBy("src", "dst").agg(*aggs, F.min("hops").alias("hops"))
 
 
 def khop_pairs(edges: DataFrame, k: int) -> DataFrame:
     """Distinct vertex pairs connected by a walk of *exactly* k edges."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    frontier = _pairs(edges)
-    for _ in range(k - 1):
-        frontier = _step(frontier, edges).localCheckpoint(eager=False)
-    return frontier
+    return expand(edges, k, k).select("src", "dst")
 
 
 def var_length_pairs(
@@ -45,32 +165,33 @@ def var_length_pairs(
     lower: int,
     upper: int,
     zero_vertices: DataFrame | None = None,
+    sources: DataFrame | None = None,
+    targets: DataFrame | None = None,
 ) -> DataFrame:
     """Distinct pairs connected by a walk of length in ``[lower, upper]``.
 
     ``lower == 0`` adds identity pairs for ``zero_vertices`` (a DataFrame
     with an ``id`` column — the vertices a zero-length path may anchor).
+    ``sources`` and ``targets`` restrict the endpoints as in
+    :func:`expand`, identity pairs included.
     """
     if lower == 0 and zero_vertices is None:
         raise ValueError("lower=0 requires zero_vertices")
-    acc: DataFrame | None = None
-    if lower == 0:
-        acc = zero_vertices.select(
-            F.col("id").alias("src"), F.col("id").alias("dst")
-        ).distinct()
-    frontier = _pairs(edges)
-    for k in range(1, upper + 1):
-        if k > 1:
-            frontier = _step(frontier, edges)
-        frontier = frontier.localCheckpoint(eager=False)
-        if k >= max(lower, 1):
-            acc = frontier if acc is None else acc.union(frontier)
-    if acc is None:  # upper == 0
-        return (
-            zero_vertices.select(F.col("id").alias("src"), F.col("id").alias("dst"))
-            .distinct()
-        )
-    return acc.distinct()
+    pairs = None
+    if upper >= 1:
+        pairs = expand(
+            edges, max(lower, 1), upper, sources=sources, targets=targets
+        ).select("src", "dst")
+    if lower > 0:
+        return pairs
+    ident = zero_vertices.select("id")
+    for ends in (sources, targets):
+        if ends is not None:
+            ident = _keep(ident, "id", ends)
+    ident = ident.select(F.col("id").alias("src"), F.col("id").alias("dst"))
+    if pairs is None:
+        return ident.distinct()
+    return pairs.unionByName(ident).distinct()
 
 
 def khop_walk_count(edges: DataFrame, k: int, exclude_loops: bool = True) -> int:
@@ -80,18 +201,10 @@ def khop_walk_count(edges: DataFrame, k: int, exclude_loops: bool = True) -> int
     compares the estimator against for 2-hop connectors)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    walks = edges.select("src", "dst").withColumn("n", F.lit(1).cast("long"))
-    for _ in range(k - 1):
-        nxt = edges.select(F.col("src").alias("_m"), F.col("dst").alias("_d"))
-        walks = (
-            walks.join(nxt, walks.dst == nxt._m)
-            .groupBy(walks.src, F.col("_d").alias("dst"))
-            .agg(F.sum("n").alias("n"))
-            .localCheckpoint(eager=False)
-        )
+    walks = expand(edges, k, k, carry="count")
     if exclude_loops:
         walks = walks.where(F.col("src") != F.col("dst"))
-    row = walks.agg(F.sum("n").alias("total")).collect()[0]
+    row = walks.agg(F.sum("m").alias("total")).collect()[0]
     return int(row["total"] or 0)
 
 
@@ -108,29 +221,9 @@ def khop_pairs_with_max(
     """
     if lower < 1:
         raise ValueError("lower must be >= 1 (zero-length paths carry no edges)")
-    base = edges.select("src", "dst", F.col(prop).alias("m"))
-    frontier = base.groupBy("src", "dst").agg(F.max("m").alias("m"))
-    acc = frontier if lower <= 1 else None
-    for k in range(2, upper + 1):
-        nxt = edges.select(
-            F.col("src").alias("_m"), F.col("dst").alias("_d"), F.col(prop).alias("_p")
-        )
-        frontier = (
-            frontier.join(nxt, frontier.dst == nxt._m)
-            .select(
-                frontier.src,
-                F.col("_d").alias("dst"),
-                F.greatest(frontier.m, F.col("_p")).alias("m"),
-            )
-            .groupBy("src", "dst")
-            .agg(F.max("m").alias("m"))
-            .localCheckpoint(eager=False)
-        )
-        if k >= lower:
-            acc = frontier if acc is None else acc.union(frontier)
-    if acc is None:
-        raise ValueError("empty hop range")
-    return acc.groupBy("src", "dst").agg(F.max("m").alias("m"))
+    return expand(edges, lower, upper, carry="max", prop=prop).select(
+        "src", "dst", "m"
+    )
 
 
 def restrict_endpoints(
@@ -139,16 +232,10 @@ def restrict_endpoints(
     src_type: str | None = None,
     dst_type: str | None = None,
 ) -> DataFrame:
-    """Filter a pair table to endpoints of the given vertex types."""
+    """Filter a pair table to endpoints of the given vertex types. The
+    destination goes first: expansion output is partitioned by it."""
     out = pairs
-    if src_type is not None:
-        keep = vertices.where(F.col("vtype") == src_type).select(
-            F.col("id").alias("src")
-        )
-        out = out.join(keep, "src")
-    if dst_type is not None:
-        keep = vertices.where(F.col("vtype") == dst_type).select(
-            F.col("id").alias("dst")
-        )
-        out = out.join(keep, "dst")
+    for col, vtype in (("dst", dst_type), ("src", src_type)):
+        if vtype is not None:
+            out = _keep(out, col, vertices.where(F.col("vtype") == vtype))
     return out

@@ -11,6 +11,8 @@ path of G between two target vertices. Four specializations (Table I):
 - **source-to-sink connector** — (source, sink) pairs, where sources
   have no incoming and sinks no outgoing edges.
 
+Each connector is one call of the path-expansion kernel
+:func:`repro.engine.traversal.expand` carrying the max ``ts``.
 Materialized connector edges carry ``ts`` = max edge-``ts`` along the
 contracted path (max composes across contraction, which is what makes
 the Q4 rewriting equivalent) and ``hops`` = the contracted length.
@@ -26,49 +28,27 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..engine.property_graph import PropertyGraph
+from ..engine.traversal import expand
 
 
-def _expand_k_with_max(edges: DataFrame, k: int) -> DataFrame:
-    """(src, dst, m) pairs at exactly k hops; m = max ts along any such
-    walk (reachability semantics, deduped each step)."""
-    frontier = edges.select("src", "dst", F.col("ts").alias("m")).groupBy(
-        "src", "dst"
-    ).agg(F.max("m").alias("m"))
-    for _ in range(k - 1):
-        nxt = edges.select(
-            F.col("src").alias("_m"), F.col("dst").alias("_d"), F.col("ts").alias("_p")
-        )
-        frontier = (
-            frontier.join(nxt, frontier.dst == nxt._m)
-            .select(
-                frontier.src,
-                F.col("_d").alias("dst"),
-                F.greatest(frontier.m, F.col("_p")).alias("m"),
-            )
-            .groupBy("src", "dst")
-            .agg(F.max("m").alias("m"))
-            .localCheckpoint(eager=False)
-        )
-    return frontier
-
-
-def _connector_graph(
-    graph: PropertyGraph,
-    pairs: DataFrame,
-    vertex_filter,
-    etype: str,
-    hops,
-    name: str,
+def _connector(
+    graph: PropertyGraph, vertices: DataFrame, pairs: DataFrame, etype: str
 ) -> PropertyGraph:
-    vertices = graph.vertices.where(vertex_filter) if vertex_filter is not None else graph.vertices
+    """The view over ``vertices`` whose edges are the contracted ``pairs``
+    (``expand`` output carrying the max ``ts``)."""
     edges = pairs.select(
         "src",
         "dst",
         F.lit(etype).alias("etype"),
         F.col("m").cast("long").alias("ts"),
-        *( [F.lit(hops).alias("hops")] if isinstance(hops, int) else [F.col("hops")] ),
+        "hops",
     )
-    return PropertyGraph(vertices=vertices, edges=edges, name=name)
+    return PropertyGraph(vertices=vertices, edges=edges, name=f"{graph.name}:{etype}")
+
+
+def _typed(graph: PropertyGraph, vtype: str | None) -> DataFrame | None:
+    """The vertices of ``vtype``; ``None`` (no restriction) if untyped."""
+    return None if vtype is None else graph.typed_vertices(vtype)
 
 
 def khop_connector(
@@ -85,23 +65,17 @@ def khop_connector(
     :class:`repro.core.enumerator.ConnectorCandidate.edge_type`)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pairs = _expand_k_with_max(graph.edges, k)
-    if src_type is not None:
-        keep = graph.typed_vertices(src_type).select(F.col("id").alias("src"))
-        pairs = pairs.join(keep, "src")
-    if dst_type is not None:
-        keep = graph.typed_vertices(dst_type).select(F.col("id").alias("dst"))
-        pairs = pairs.join(keep, "dst")
-    etype = etype or f"CONN{k}_{src_type or 'Vertex'}_{dst_type or 'Vertex'}"
-    if src_type is None and dst_type is None:
-        vfilter = None
-    elif src_type == dst_type:
-        vfilter = F.col("vtype") == src_type
-    else:
-        vfilter = F.col("vtype").isin([t for t in (src_type, dst_type) if t])
-    return _connector_graph(
-        graph, pairs, vfilter, etype, k, name=f"{graph.name}:{etype}"
+    pairs = expand(
+        graph.edges, k, k, carry="max",
+        sources=_typed(graph, src_type),
+        targets=_typed(graph, dst_type),
     )
+    etype = etype or f"CONN{k}_{src_type or 'Vertex'}_{dst_type or 'Vertex'}"
+    anchors = [t for t in (src_type, dst_type) if t]
+    vertices = graph.vertices
+    if anchors:
+        vertices = vertices.where(F.col("vtype").isin(anchors))
+    return _connector(graph, vertices, pairs, etype)
 
 
 def upto_khop_connector(
@@ -121,33 +95,8 @@ def upto_khop_connector(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    frontier = graph.edges.select("src", "dst", F.col("ts").alias("m")).groupBy(
-        "src", "dst"
-    ).agg(F.max("m").alias("m"))
-    acc = frontier.withColumn("hops", F.lit(1))
-    for length in range(2, k + 1):
-        nxt = graph.edges.select(
-            F.col("src").alias("_m"), F.col("dst").alias("_d"), F.col("ts").alias("_p")
-        )
-        frontier = (
-            frontier.join(nxt, frontier.dst == nxt._m)
-            .select(
-                frontier.src,
-                F.col("_d").alias("dst"),
-                F.greatest(frontier.m, F.col("_p")).alias("m"),
-            )
-            .groupBy("src", "dst")
-            .agg(F.max("m").alias("m"))
-            .localCheckpoint(eager=False)
-        )
-        acc = acc.union(frontier.withColumn("hops", F.lit(length)))
-    pairs = acc.groupBy("src", "dst").agg(
-        F.max("m").alias("m"), F.min("hops").alias("hops")
-    )
-    etype = etype or f"CONN1TO{k}_Vertex_Vertex"
-    return _connector_graph(
-        graph, pairs, None, etype, None, name=f"{graph.name}:{etype}"
-    )
+    pairs = expand(graph.edges, 1, k, carry="max")
+    return _connector(graph, graph.vertices, pairs, etype or f"CONN1TO{k}_Vertex_Vertex")
 
 
 def same_vertex_type_connector(
@@ -157,54 +106,14 @@ def same_vertex_type_connector(
     vertices are of other types (Table I row 1). ``max_hops`` bounds the
     contracted path length (the schema's shortest same-type cycle gives
     the useful value — 2 on bipartite schemas)."""
-    targets = graph.typed_vertices(vtype).select("id")
-    interior = graph.vertices.where(F.col("vtype") != vtype).select("id")
-    t_src = targets.select(F.col("id").alias("src"))
-    t_dst = targets.select(F.col("id").alias("dst"))
-    i_dst = interior.select(F.col("id").alias("dst"))
-    # frontier: walks starting at a target, currently at an interior
-    # vertex, of length L; emit an edge when the walk steps onto a target.
-    start = graph.edges.select("src", "dst", F.col("ts").alias("m")).join(
-        t_src, "src"
+    targets = graph.typed_vertices(vtype)
+    pairs = expand(
+        graph.edges, 1, max_hops, carry="max",
+        sources=targets,
+        through=graph.vertices.where(F.col("vtype") != vtype),
+        targets=targets,
     )
-    out = None
-    frontier = start.join(i_dst, "dst").groupBy("src", "dst").agg(F.max("m").alias("m"))
-    hit = start.join(t_dst, "dst").groupBy("src", "dst").agg(F.max("m").alias("m"))
-    hit = hit.withColumn("hops", F.lit(1))
-    out = hit
-    for length in range(2, max_hops + 1):
-        nxt = graph.edges.select(
-            F.col("src").alias("_m"), F.col("dst").alias("_d"), F.col("ts").alias("_p")
-        )
-        stepped = (
-            frontier.join(nxt, frontier.dst == nxt._m)
-            .select(
-                frontier.src,
-                F.col("_d").alias("dst"),
-                F.greatest(frontier.m, F.col("_p")).alias("m"),
-            )
-        )
-        hit = (
-            stepped.join(t_dst, "dst")
-            .groupBy("src", "dst")
-            .agg(F.max("m").alias("m"))
-            .withColumn("hops", F.lit(length))
-        )
-        out = out.union(hit)
-        frontier = (
-            stepped.join(i_dst, "dst")
-            .groupBy("src", "dst")
-            .agg(F.max("m").alias("m"))
-            .localCheckpoint(eager=False)
-        )
-    pairs = out.groupBy("src", "dst").agg(
-        F.max("m").alias("m"), F.min("hops").alias("hops")
-    )
-    etype = f"CONN_{vtype}_{vtype}"
-    return _connector_graph(
-        graph, pairs, F.col("vtype") == vtype, etype, None,
-        name=f"{graph.name}:{etype}",
-    )
+    return _connector(graph, targets, pairs, f"CONN_{vtype}_{vtype}")
 
 
 def same_edge_type_connector(
@@ -213,29 +122,7 @@ def same_edge_type_connector(
     """Contract paths consisting solely of ``etype`` edges (Table I
     row 3), up to ``max_hops``."""
     edges = graph.typed_edges(etype)
-    frontier = edges.select("src", "dst", F.col("ts").alias("m")).groupBy(
-        "src", "dst"
-    ).agg(F.max("m").alias("m"))
-    acc = frontier.withColumn("hops", F.lit(1))
-    for length in range(2, max_hops + 1):
-        nxt = edges.select(
-            F.col("src").alias("_m"), F.col("dst").alias("_d"), F.col("ts").alias("_p")
-        )
-        frontier = (
-            frontier.join(nxt, frontier.dst == nxt._m)
-            .select(
-                frontier.src,
-                F.col("_d").alias("dst"),
-                F.greatest(frontier.m, F.col("_p")).alias("m"),
-            )
-            .groupBy("src", "dst")
-            .agg(F.max("m").alias("m"))
-            .localCheckpoint(eager=False)
-        )
-        acc = acc.union(frontier.withColumn("hops", F.lit(length)))
-    pairs = acc.groupBy("src", "dst").agg(
-        F.max("m").alias("m"), F.min("hops").alias("hops")
-    )
+    pairs = expand(edges, 1, max_hops, carry="max")
     # Target vertices: any endpoint of an etype edge.
     touched = (
         edges.select(F.col("src").alias("id"))
@@ -243,12 +130,7 @@ def same_edge_type_connector(
         .distinct()
     )
     vertices = graph.vertices.join(touched, "id")
-    out_etype = f"CONN_{etype}"
-    e = pairs.select(
-        "src", "dst", F.lit(out_etype).alias("etype"),
-        F.col("m").cast("long").alias("ts"), "hops",
-    )
-    return PropertyGraph(vertices=vertices, edges=e, name=f"{graph.name}:{out_etype}")
+    return _connector(graph, vertices, pairs, f"CONN_{etype}")
 
 
 def source_to_sink_connector(graph: PropertyGraph, max_hops: int) -> PropertyGraph:
@@ -261,43 +143,11 @@ def source_to_sink_connector(graph: PropertyGraph, max_hops: int) -> PropertyGra
     sinks = ids.join(
         graph.edges.select(F.col("src").alias("id")).distinct(), "id", "left_anti"
     )
-    s_src = sources.select(F.col("id").alias("src"))
-    k_dst = sinks.select(F.col("id").alias("dst"))
-    frontier = (
-        graph.edges.select("src", "dst", F.col("ts").alias("m"))
-        .join(s_src, "src")
-        .groupBy("src", "dst")
-        .agg(F.max("m").alias("m"))
+    pairs = expand(
+        graph.edges, 1, max_hops, carry="max", sources=sources, targets=sinks
     )
-    acc = frontier.join(k_dst, "dst").withColumn("hops", F.lit(1))
-    for length in range(2, max_hops + 1):
-        nxt = graph.edges.select(
-            F.col("src").alias("_m"), F.col("dst").alias("_d"), F.col("ts").alias("_p")
-        )
-        frontier = (
-            frontier.join(nxt, frontier.dst == nxt._m)
-            .select(
-                frontier.src,
-                F.col("_d").alias("dst"),
-                F.greatest(frontier.m, F.col("_p")).alias("m"),
-            )
-            .groupBy("src", "dst")
-            .agg(F.max("m").alias("m"))
-            .localCheckpoint(eager=False)
-        )
-        acc = acc.union(frontier.join(k_dst, "dst").withColumn("hops", F.lit(length)))
-    pairs = acc.groupBy("src", "dst").agg(
-        F.max("m").alias("m"), F.min("hops").alias("hops")
-    )
-    endpoints = sources.union(sinks).distinct()
-    vertices = graph.vertices.join(endpoints, "id")
-    e = pairs.select(
-        "src", "dst", F.lit("CONN_SRC_SINK").alias("etype"),
-        F.col("m").cast("long").alias("ts"), "hops",
-    )
-    return PropertyGraph(
-        vertices=vertices, edges=e, name=f"{graph.name}:CONN_SRC_SINK"
-    )
+    vertices = graph.vertices.join(sources.union(sinks).distinct(), "id")
+    return _connector(graph, vertices, pairs, "CONN_SRC_SINK")
 
 
 def materialize(graph: PropertyGraph) -> PropertyGraph:

@@ -1,11 +1,9 @@
 """Tests for the provided infrastructure we build on: the DuckDB oracle
-(it must catch wrong results, not just run) and the TPC-H-lite
-generators of synth_data (kept for oracle plumbing validation)."""
+(it must catch wrong results, not just run)."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
@@ -46,51 +44,3 @@ class TestOracle:
             df, "SELECT 1 AS b, 2 AS a FROM t", t=pd.DataFrame({"x": [0]})
         )
 
-
-class TestSynthData:
-    def test_lineitem_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=0.001).toPandas()
-        b = synth_data.lineitem(spark, sf=0.001).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_lineitem_oracle_roundtrip(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        out = li.groupBy("l_returnflag").agg(
-            F.sum("l_quantity").alias("qty"), F.count("*").alias("n")
-        )
-        assert_equivalent(
-            out,
-            """SELECT l_returnflag, SUM(l_quantity) AS qty, COUNT(*) AS n
-               FROM li GROUP BY l_returnflag""",
-            li=li,
-        )
-
-    def test_orders_keys_dense(self, spark):
-        o = synth_data.orders(spark, sf=0.001)
-        n = o.count()
-        assert o.agg(F.max("o_orderkey")).collect()[0][0] == n
-
-    def test_join_path_consistent(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        o = synth_data.orders(spark, sf=0.001)
-        joined = li.join(o, li.l_orderkey == o.o_orderkey).agg(
-            F.count("*").alias("n")
-        )
-        assert_equivalent(
-            joined,
-            """SELECT COUNT(*) AS n FROM li JOIN o ON li.l_orderkey = o.o_orderkey""",
-            li=li,
-            o=o,
-        )
-
-    def test_zipf_keys_skewed(self, spark):
-        z = synth_data.zipf_keys(spark, n=5000, n_keys=100)
-        top = (
-            z.groupBy("k").count().orderBy(F.desc("count")).limit(1).collect()[0]
-        )
-        assert top["count"] > 5000 / 100 * 5  # far above uniform share
-
-    def test_uniform_keys_spread(self, spark):
-        u = synth_data.uniform_keys(spark, n=5000, n_keys=100)
-        mx = u.groupBy("k").count().agg(F.max("count")).collect()[0][0]
-        assert mx < 5000 / 100 * 3

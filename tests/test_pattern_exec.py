@@ -26,7 +26,57 @@ JOIN edges r ON p.dst = r.src AND r.etype = 'IS_READ_BY'
 """
 
 
+def _typed_path_sql(pattern) -> str:
+    """Oracle for a single-path pattern: walks over edges of the path's
+    type, identity pairs when lower = 0, then endpoint types."""
+    (path,) = pattern.paths
+
+    def typed(alias, col, vtype):
+        return "TRUE" if vtype is None else f"{alias}.{col} = '{vtype}'"
+
+    st, dt = pattern.vtype(path.src), pattern.vtype(path.dst)
+    zero = "UNION SELECT id, id FROM vertices" if path.lower == 0 else ""
+    return f"""
+    WITH RECURSIVE walk(src, dst, k) AS (
+        SELECT src, dst, 1 FROM edges e WHERE {typed("e", "etype", path.etype)}
+        UNION ALL
+        SELECT w.src, e.dst, w.k + 1 FROM walk w JOIN edges e ON w.dst = e.src
+        WHERE w.k < {path.upper} AND {typed("e", "etype", path.etype)}
+    ),
+    pairs AS (
+        SELECT src, dst FROM walk WHERE k >= {max(path.lower, 1)} {zero}
+    )
+    SELECT DISTINCT p.src AS a, p.dst AS b FROM pairs p
+    JOIN vertices s ON p.src = s.id JOIN vertices t ON p.dst = t.id
+    WHERE {typed("s", "vtype", st)} AND {typed("t", "vtype", dt)}
+    """
+
+
 class TestExecutePattern:
+    @pytest.mark.parametrize(
+        "graph,match",
+        [
+            ("fig3", "MATCH (a:File)-[*0..4]->(b:File) RETURN a, b"),
+            ("fig3", "MATCH (a:Job)-[*2..4]->(b:Job) RETURN a, b"),
+            ("fig3", "MATCH (a:Job)-[:WRITES_TO*1..2]->(b) RETURN a, b"),
+            ("fig3", "MATCH (a:Machine)-[*1..3]->(b:Job) RETURN a, b"),
+            ("cyclic", "MATCH (a:Vertex)-[*0..2]->(b) RETURN a, b"),
+            ("tiny_prov", "MATCH (a:Job)-[*1..4]->(b:Job) RETURN a, b"),
+            ("tiny_prov", "MATCH (a:Task)-[:TRANSFERS_TO*0..3]->(b:Task) RETURN a, b"),
+        ],
+    )
+    def test_typed_path_endpoints_oracle(self, request, graph, match):
+        """Endpoint types pushed into the path expansion match the walk
+        oracle restricted to those types."""
+        g = request.getfixturevalue(graph)
+        pattern = parse_match(match)
+        assert_equivalent(
+            execute_pattern(g, pattern),
+            _typed_path_sql(pattern),
+            vertices=g.vertices.toPandas(),
+            edges=g.edges.toPandas(),
+        )
+
     def test_blast_radius_on_fig3_hand_checked(self, fig3):
         out = execute_pattern(fig3, parse_match(BLAST_RADIUS_MATCH))
         got = {(r["A"], r["B"]) for r in out.collect()}

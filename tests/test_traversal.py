@@ -13,9 +13,44 @@ from repro.engine import (
     restrict_endpoints,
     var_length_pairs,
 )
+from repro.engine.traversal import expand
 from repro.oracle import assert_equivalent
+from repro.views import khop_connector, materialize
 
 from .conftest import khop_pairs_sql, max_ts_sql, var_length_sql
+
+
+def _rows(df, *cols):
+    return {tuple(r[c] for c in cols) for r in df.collect()}
+
+
+def _typed(graph, vtype):
+    return None if vtype is None else graph.typed_vertices(vtype)
+
+
+def _walk_count_sql(k: int) -> str:
+    """Oracle for khop_walk_count: k-edge walks between distinct endpoints."""
+    return f"""
+    WITH RECURSIVE walk(src, dst, k) AS (
+        SELECT src, dst, 1 FROM edges
+        UNION ALL
+        SELECT w.src, e.dst, w.k + 1 FROM walk w
+        JOIN edges e ON w.dst = e.src WHERE w.k < {k}
+    )
+    SELECT COUNT(*) FROM walk WHERE k = {k} AND src <> dst
+    """
+
+
+def _duckdb_scalar(sql: str, **tables):
+    import duckdb
+
+    con = duckdb.connect()
+    try:
+        for name, table in tables.items():
+            con.register(name, table)
+        return con.execute(sql).fetchone()[0]
+    finally:
+        con.close()
 
 
 class TestKhopPairs:
@@ -92,23 +127,18 @@ class TestWalkCount:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fig3_counts(self, fig3, fig3_pdf, k):
         _, edges = fig3_pdf
-        import duckdb
-
-        con = duckdb.connect()
-        con.register("edges", edges)
-        expected = con.execute(
-            f"""
-            WITH RECURSIVE walk(src, dst, k) AS (
-                SELECT src, dst, 1 FROM edges
-                UNION ALL
-                SELECT w.src, e.dst, w.k + 1 FROM walk w
-                JOIN edges e ON w.dst = e.src WHERE w.k < {k}
-            )
-            SELECT COUNT(*) FROM walk WHERE k = {k} AND src <> dst
-            """
-        ).fetchone()[0]
-        con.close()
+        expected = _duckdb_scalar(_walk_count_sql(k), edges=edges)
         assert khop_walk_count(fig3.edges, k) == expected
+
+    @pytest.mark.parametrize(
+        "graph,k", [("cyclic", 2), ("cyclic", 4), ("tiny_prov", 2), ("tiny_prov", 3)]
+    )
+    def test_counts_match_oracle(self, request, graph, k):
+        """Walk multiplicity survives the kernel's per-hop merge, parallel
+        edges and cycles included."""
+        g = request.getfixturevalue(graph)
+        expected = _duckdb_scalar(_walk_count_sql(k), edges=g.edges.toPandas())
+        assert khop_walk_count(g.edges, k) == expected
 
     def test_cycle_loops_excluded_vs_included(self, cyclic):
         # The triangle contributes closed 3-walks: 0→1→2→0 etc.
@@ -153,6 +183,114 @@ class TestPairsWithMax:
     def test_zero_lower_rejected(self, fig3):
         with pytest.raises(ValueError):
             khop_pairs_with_max(fig3.edges, 0, 2)
+
+
+# (graph, lower, upper, edge type, source type, destination type)
+PUSHDOWN_CASES = [
+    ("fig3", 0, 4, None, "File", "File"),  # *0..U
+    ("fig3", 2, 4, None, "Job", "Job"),  # lower > 1
+    ("fig3", 1, 3, "WRITES_TO", "Job", None),  # typed-edge path
+    ("fig3", 1, 3, None, "Machine", "Job"),  # no vertex of the source type
+    ("cyclic", 0, 3, None, "Vertex", "Vertex"),
+    ("cyclic", 2, 5, "LINK", None, "Vertex"),
+    ("cyclic", 1, 2, None, "Job", None),  # no vertex of the source type
+    ("tiny_prov", 1, 4, None, "Job", "Job"),
+    ("tiny_prov", 0, 3, "TRANSFERS_TO", "Task", "Task"),
+    ("tiny_prov", 2, 3, None, "Task", "Machine"),
+]
+
+
+class TestEndpointPushdown:
+    """Endpoint types pushed into the expansion equal the same expansion
+    restricted afterwards."""
+
+    @pytest.mark.parametrize("graph,lo,hi,etype,st,dt", PUSHDOWN_CASES)
+    def test_var_length_pairs(self, request, graph, lo, hi, etype, st, dt):
+        g = request.getfixturevalue(graph)
+        edges = g.typed_edges(etype)
+        pushed = var_length_pairs(
+            edges, lo, hi, zero_vertices=g.vertices,
+            sources=_typed(g, st), targets=_typed(g, dt),
+        )
+        after = restrict_endpoints(
+            var_length_pairs(edges, lo, hi, zero_vertices=g.vertices),
+            g.vertices, st, dt,
+        )
+        got = _rows(pushed, "src", "dst")
+        assert got == _rows(after, "src", "dst")
+        present = set(g.vertex_types())
+        assert bool(got) == ({st, dt} - {None} <= present)
+
+    @pytest.mark.parametrize("graph,lo,hi,etype,st,dt", PUSHDOWN_CASES)
+    def test_max_carry(self, request, graph, lo, hi, etype, st, dt):
+        g = request.getfixturevalue(graph)
+        edges = g.typed_edges(etype)
+        lo = max(lo, 1)
+        pushed = expand(
+            edges, lo, hi, carry="max", sources=_typed(g, st), targets=_typed(g, dt)
+        )
+        after = restrict_endpoints(
+            khop_pairs_with_max(edges, lo, hi), g.vertices, st, dt
+        )
+        assert _rows(pushed, "src", "dst", "m") == _rows(after, "src", "dst", "m")
+
+
+def _plan_leaves(plan):
+    """Leaf operators of a physical plan. A cached relation's own plan is
+    not a child of its scan, so it does not appear."""
+    kids = plan.children()
+    if kids.isEmpty():
+        yield plan
+    for i in range(kids.size()):
+        yield from _plan_leaves(kids.apply(i))
+
+
+class TestReadsMaterializedView:
+    def test_multihop_view_scanned_not_rederived(self, spark, fig3, monkeypatch):
+        """A traversal over a materialized 2-hop connector reads the cached
+        view, once. Every plan it executes bottoms out in that cache scan
+        or in checkpoints the traversal made itself, never in the
+        checkpoints, joins and aggregates that built the view."""
+        # Static plans, as the benchmark session runs them: adaptive
+        # execution would run each stage while its checkpoint is planned.
+        adaptive = spark.conf.get("spark.sql.adaptive.enabled")
+        spark.conf.set("spark.sql.adaptive.enabled", "false")
+        view = materialize(khop_connector(fig3, 2, "Job", "Job"))
+        try:
+            before = spark.sparkContext.emptyRDD().id()
+            frame_type = type(view.edges)
+            plans = []
+            checkpoint = frame_type.localCheckpoint
+
+            def recording(df, *args, **kwargs):
+                plans.append(df._jdf.queryExecution().executedPlan())
+                return checkpoint(df, *args, **kwargs)
+
+            monkeypatch.setattr(frame_type, "localCheckpoint", recording)
+            out = var_length_pairs(view.edges, 1, 3)
+            plans.append(out._jdf.queryExecution().executedPlan())
+            monkeypatch.undo()
+
+            cache_scans, foreign = 0, []
+            for plan in plans:
+                for leaf in _plan_leaves(plan):
+                    kind = leaf.getClass().getSimpleName()
+                    if kind == "InMemoryTableScanExec":
+                        cache_scans += 1
+                    elif not (
+                        kind == "ReusedExchangeExec"
+                        or kind == "RDDScanExec" and leaf.rdd().id() > before
+                    ):
+                        foreign.append(leaf.toString())
+            assert foreign == []
+            assert cache_scans == 1
+
+            assert_equivalent(
+                out, var_length_sql(1, 3), edges=view.edges.toPandas()
+            )
+        finally:
+            spark.conf.set("spark.sql.adaptive.enabled", adaptive)
+            view.unpersist()
 
 
 class TestRestrictEndpoints:
