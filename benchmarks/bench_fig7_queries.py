@@ -1,5 +1,6 @@
 """Fig. 7 benchmark: Q1–Q8 baseline (summarized graph) vs. rewritten
-over the 2-hop connector view, per dataset.
+over the 2-hop connector view, per dataset. Q1–Q4's view side runs the
+same query with the rewriter's rewriting over ``spec.view``.
 
 Each (dataset, query, plan) cell is one pytest-benchmark entry, grouped
 as ``fig7:<dataset>:<query>`` so `pytest benchmarks/ --benchmark-only`
@@ -9,13 +10,9 @@ import pytest
 
 from repro.workload import (
     q1_blast_radius,
-    q1_blast_radius_view,
     q2_ancestors,
-    q2_ancestors_view,
     q3_descendants,
-    q3_descendants_view,
     q4_path_lengths,
-    q4_path_lengths_view,
     q5_edge_count,
     q6_vertex_count,
     q7_communities,
@@ -46,7 +43,7 @@ class TestQ1:
         _run(
             benchmark,
             f"fig7:{spec.name}:Q1",
-            lambda: q1_blast_radius_view(conn, spec).count(),
+            lambda: q1_blast_radius(conn, spec, spec.view).count(),
         )
 
 
@@ -61,7 +58,7 @@ class TestQ2:
         _run(
             benchmark,
             f"fig7:{spec.name}:Q2",
-            lambda: q2_ancestors_view(conn, spec).count(),
+            lambda: q2_ancestors(conn, spec, spec.view).count(),
         )
 
 
@@ -76,7 +73,7 @@ class TestQ3:
         _run(
             benchmark,
             f"fig7:{spec.name}:Q3",
-            lambda: q3_descendants_view(conn, spec).count(),
+            lambda: q3_descendants(conn, spec, spec.view).count(),
         )
 
 
@@ -91,7 +88,7 @@ class TestQ4:
         _run(
             benchmark,
             f"fig7:{spec.name}:Q4",
-            lambda: q4_path_lengths_view(conn, spec).count(),
+            lambda: q4_path_lengths(conn, spec, spec.view).count(),
         )
 
 

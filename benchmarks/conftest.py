@@ -23,7 +23,7 @@ def prov_bench(spark):
 
     spec = prov_spec()
     g = _pin(prov_summarized(spark, scale=SCALES["prov"]))
-    conn = build_connector(g, spec)
+    conn = build_connector(g, spec.view)
     yield g, conn, spec
     g.unpersist()
     conn.unpersist()
@@ -35,7 +35,7 @@ def dblp_bench(spark):
 
     spec = dblp_spec()
     g = _pin(dblp_summarized(spark, scale=SCALES["dblp"]))
-    conn = build_connector(g, spec)
+    conn = build_connector(g, spec.view)
     yield g, conn, spec
     g.unpersist()
     conn.unpersist()
@@ -47,7 +47,7 @@ def soc_bench(spark):
 
     spec = homogeneous_spec("soc")
     g = _pin(social(spark, scale=SCALES["soc"]))
-    conn = build_connector(g, spec)
+    conn = build_connector(g, spec.view)
     yield g, conn, spec
     g.unpersist()
     conn.unpersist()
@@ -59,7 +59,7 @@ def roadnet_bench(spark):
 
     spec = homogeneous_spec("roadnet")
     g = _pin(roadnet(spark, scale=SCALES["roadnet"]))
-    conn = build_connector(g, spec)
+    conn = build_connector(g, spec.view)
     yield g, conn, spec
     g.unpersist()
     conn.unpersist()

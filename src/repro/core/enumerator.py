@@ -25,8 +25,12 @@ class ConnectorCandidate:
     vertices of ``src_type``/``dst_type`` into single edges.
 
     ``src_var``/``dst_var`` name the query vertices the template was
-    instantiated for (the anchor of the rewriting); ``kind`` records
-    which template produced it.
+    instantiated for; the rewriter binds a view to a query by the types
+    alone. ``kind`` records which template produced it: ``"khop"`` and
+    ``"same_vertex_type"`` contract walks of exactly k edges;
+    ``"upto_khop"`` is the homogeneous connector of
+    :func:`repro.views.connectors.upto_khop_connector`, one edge per pair
+    within 1..k hops.
     """
 
     src_var: str
@@ -43,7 +47,8 @@ class ConnectorCandidate:
     @property
     def edge_type(self) -> str:
         """The edge type of the materialized connector edges."""
-        return f"CONN{self.k}_{self.src_type}_{self.dst_type}"
+        k = f"1TO{self.k}" if self.kind == "upto_khop" else self.k
+        return f"CONN{k}_{self.src_type}_{self.dst_type}"
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,10 @@ from .queries import (
     homogeneous_spec,
     prov_spec,
     q1_blast_radius,
-    q1_blast_radius_view,
     q1_pattern,
     q2_ancestors,
-    q2_ancestors_view,
     q3_descendants,
-    q3_descendants_view,
     q4_path_lengths,
-    q4_path_lengths_view,
     q5_edge_count,
     q6_vertex_count,
     q7_communities,
@@ -40,13 +36,9 @@ __all__ = [
     "build_connector",
     "q1_pattern",
     "q1_blast_radius",
-    "q1_blast_radius_view",
     "q2_ancestors",
-    "q2_ancestors_view",
     "q3_descendants",
-    "q3_descendants_view",
     "q4_path_lengths",
-    "q4_path_lengths_view",
     "q5_edge_count",
     "q6_vertex_count",
     "q7_communities",

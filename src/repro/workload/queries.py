@@ -1,10 +1,11 @@
-"""The evaluation workload: queries Q1–Q8 (Table IV), each runnable
-over the (summarized) base graph and over a 2-hop connector view.
+"""The evaluation workload: queries Q1–Q8 (Table IV).
 
-Dataset-specific knobs live in :class:`WorkloadSpec` (anchor vertex
-type and the write/read edge types of the 2-hop pattern; homogeneous
-networks have none and use the vertex-to-vertex ≤2-hop connector, see
-``repro.views.connectors.upto_khop_connector``).
+Each of Q1–Q4 is defined once: a MATCH pattern on the dataset's
+:class:`WorkloadSpec` plus a relational tail over the matched graph. The
+same definition runs over the base graph or, given a connector view
+candidate and its materialized graph, over the pattern
+:func:`repro.core.rewriter.rewrite_with_connector` derives for that view.
+No view plan is written by hand.
 
 Equivalences (tested in tests/test_workload.py):
 
@@ -18,26 +19,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.pattern import (
-    PatternEdge,
-    PatternVertex,
-    QueryPattern,
-    VarLengthPath,
-)
-from ..core.rewriter import rewrite_with_connector
 from ..core.enumerator import ConnectorCandidate
+from ..core.pattern import QueryPattern, parse_match
+from ..core.rewriter import rewrite_with_connector
 from ..core.schema import GraphSchema
 from ..engine.pattern_exec import execute_pattern, with_vertex_props
 from ..engine.property_graph import PropertyGraph
-from ..engine.traversal import (
-    khop_pairs_with_max,
-    restrict_endpoints,
-    var_length_pairs,
-)
+from ..engine.traversal import expand
 from ..views.algorithms import label_propagation, largest_community
 from ..views.connectors import khop_connector, materialize, upto_khop_connector
 
@@ -48,13 +41,24 @@ class WorkloadSpec:
 
     name: str
     schema: GraphSchema
-    anchor_type: str | None  # Job (prov) / Author (dblp) / None (homog.)
+    anchor_type: str  # Job (prov) / Author (dblp) / Vertex (homogeneous)
     write_etype: str | None = None
     read_etype: str | None = None
 
     @property
     def heterogeneous(self) -> bool:
-        return self.anchor_type is not None
+        return self.write_etype is not None
+
+    @property
+    def view(self) -> ConnectorCandidate:
+        """The 2-hop connector Fig. 7 rewrites over (§ VII-C):
+        anchor-to-anchor on heterogeneous graphs, ≤2-hop on homogeneous
+        ones (exact 2 hops would lose the odd lengths). Views bind to
+        queries by type, so its variable names bind nothing."""
+        t = self.anchor_type
+        return ConnectorCandidate(
+            "src", "dst", t, t, 2, "khop" if self.heterogeneous else "upto_khop"
+        )
 
 
 def prov_spec() -> WorkloadSpec:
@@ -72,54 +76,56 @@ def dblp_spec() -> WorkloadSpec:
 def homogeneous_spec(name: str) -> WorkloadSpec:
     from ..core.schema import HOMOGENEOUS
 
-    return WorkloadSpec(name, HOMOGENEOUS, None)
+    return WorkloadSpec(name, HOMOGENEOUS, "Vertex")
 
 
-# ---------------------------------------------------------------------------
-# Connector construction (the view Fig. 7 rewrites over)
-# ---------------------------------------------------------------------------
-
-
-def build_connector(graph: PropertyGraph, spec: WorkloadSpec) -> PropertyGraph:
-    """The 2-hop connector of § VII-C: anchor-to-anchor on heterogeneous
-    graphs (job-to-job / author-to-author), vertex-to-vertex ≤2-hop on
-    homogeneous ones."""
-    if spec.heterogeneous:
-        view = khop_connector(graph, 2, spec.anchor_type, spec.anchor_type)
+def build_connector(graph: PropertyGraph, view: ConnectorCandidate) -> PropertyGraph:
+    """Materialize the connector ``view`` describes over ``graph``."""
+    if view.kind == "upto_khop":
+        conn = upto_khop_connector(graph, view.k, view.edge_type)
     else:
-        view = upto_khop_connector(graph, 2)
-    return materialize(view)
+        conn = khop_connector(graph, view.k, view.src_type, view.dst_type)
+    return materialize(conn)
 
 
 # ---------------------------------------------------------------------------
-# Q1: blast radius
+# Q1–Q4: one pattern and one tail each
 # ---------------------------------------------------------------------------
+
+
+def _run(
+    tail: Callable[[PropertyGraph, QueryPattern], DataFrame],
+    graph: PropertyGraph,
+    spec: WorkloadSpec,
+    pattern: QueryPattern,
+    view: ConnectorCandidate | None,
+) -> DataFrame:
+    """``tail`` over ``pattern`` on the base graph or, given a ``view``
+    (``graph`` is then its materialization), over the rewriting."""
+    if view is not None:
+        rw = rewrite_with_connector(pattern, view, spec.schema)
+        if rw is None:
+            raise ValueError(f"view {view.edge_type} admits no rewriting of {pattern}")
+        pattern = rw.rewritten
+    return tail(graph, pattern)
 
 
 def q1_pattern(spec: WorkloadSpec, mid_hops: int = 8) -> QueryPattern:
     """The Lst. 1 MATCH clause, parameterized by dataset edge types:
     (a1:T)-[:W]->(m1), (m1)-[r*0..mid]->(m2), (m2)-[:R]->(a2:T)."""
     t = spec.anchor_type
-    return QueryPattern(
-        vertices=(
-            PatternVertex("q_j1", t),
-            PatternVertex("q_f1", None),
-            PatternVertex("q_f2", None),
-            PatternVertex("q_j2", t),
-        ),
-        edges=(
-            PatternEdge("q_j1", "q_f1", spec.write_etype),
-            PatternEdge("q_f2", "q_j2", spec.read_etype),
-        ),
-        paths=(VarLengthPath("q_f1", "q_f2", 0, mid_hops, None),),
-        returns=(("q_j1", "A"), ("q_j2", "B")),
+    return parse_match(
+        f"MATCH (q_j1:{t}) -[:{spec.write_etype}]-> (q_f1), "
+        f"(q_f1) -[*0..{mid_hops}]-> (q_f2), "
+        f"(q_f2) -[:{spec.read_etype}]-> (q_j2:{t}) "
+        "RETURN q_j1 AS A, q_j2 AS B"
     )
 
 
-def _q1_aggregate(pairs: DataFrame, graph: PropertyGraph) -> DataFrame:
+def _q1_aggregate(graph: PropertyGraph, pattern: QueryPattern) -> DataFrame:
     """The relational tail of Lst. 1: per (A, B) pair T_CPU, then
     AVG(T_CPU) grouped by A's pipeline name."""
-    flat = with_vertex_props(pairs, graph, ["A", "B"])
+    flat = with_vertex_props(execute_pattern(graph, pattern), graph, ["A", "B"])
     per_pair = flat.groupBy("A", "A_pname", "B").agg(
         F.sum("B_cpu").alias("T_CPU")
     )
@@ -131,104 +137,74 @@ def _q1_aggregate(pairs: DataFrame, graph: PropertyGraph) -> DataFrame:
 
 
 def q1_blast_radius(
-    graph: PropertyGraph, spec: WorkloadSpec, mid_hops: int = 8
+    graph: PropertyGraph,
+    spec: WorkloadSpec,
+    view: ConnectorCandidate | None = None,
+    mid_hops: int = 8,
 ) -> DataFrame:
-    """Q1 over the base graph (heterogeneous datasets only)."""
+    """Q1: job blast radius (Lst. 1; heterogeneous datasets only)."""
     if not spec.heterogeneous:
         raise ValueError("Q1 is defined on heterogeneous datasets")
-    pairs = execute_pattern(graph, q1_pattern(spec, mid_hops))
-    return _q1_aggregate(pairs, graph)
-
-
-def q1_blast_radius_view(
-    connector: PropertyGraph, spec: WorkloadSpec, mid_hops: int = 8
-) -> DataFrame:
-    """Q1 rewritten over the 2-hop connector — the Lst. 4 rewriting,
-    produced by the actual rewriter (not hand-coded hops)."""
-    cand = ConnectorCandidate("q_j1", "q_j2", spec.anchor_type, spec.anchor_type, 2)
-    rw = rewrite_with_connector(q1_pattern(spec, mid_hops), cand, spec.schema)
-    if rw is None:  # pragma: no cover - guarded by tests
-        raise RuntimeError("2-hop connector rewriting must apply to Q1")
-    pairs = execute_pattern(connector, rw.rewritten)
-    return _q1_aggregate(pairs, connector)
-
-
-# ---------------------------------------------------------------------------
-# Q2 / Q3: ancestors & descendants (same-anchor-type, ≤ max_hops)
-# ---------------------------------------------------------------------------
-
-
-def _reach_pairs(
-    graph: PropertyGraph, spec: WorkloadSpec, lo: int, hi: int
-) -> DataFrame:
-    pairs = var_length_pairs(graph.edges, lo, hi)
-    return restrict_endpoints(
-        pairs, graph.vertices, spec.anchor_type, spec.anchor_type
-    )
-
-
-def q3_descendants(
-    graph: PropertyGraph, spec: WorkloadSpec, max_hops: int = 4
-) -> DataFrame:
-    """Q3: forward data lineage — (v, descendant) pairs within
-    ``max_hops``, endpoints restricted to the anchor type."""
-    return _reach_pairs(graph, spec, 1, max_hops).select(
-        F.col("src").alias("v"), F.col("dst").alias("descendant")
-    )
+    return _run(_q1_aggregate, graph, spec, q1_pattern(spec, mid_hops), view)
 
 
 def q2_ancestors(
-    graph: PropertyGraph, spec: WorkloadSpec, max_hops: int = 4
+    graph: PropertyGraph,
+    spec: WorkloadSpec,
+    view: ConnectorCandidate | None = None,
+    max_hops: int = 4,
 ) -> DataFrame:
-    """Q2: backward data lineage — (v, ancestor) pairs within
-    ``max_hops``."""
-    return _reach_pairs(graph, spec, 1, max_hops).select(
-        F.col("dst").alias("v"), F.col("src").alias("ancestor")
-    )
+    """Q2: backward data lineage — (v, ancestor) pairs of anchor
+    vertices within ``max_hops``."""
+    t = spec.anchor_type
+    match = f"MATCH (a:{t}) -[*1..{max_hops}]-> (v:{t}) RETURN v AS v, a AS ancestor"
+    return _run(execute_pattern, graph, spec, parse_match(match), view)
 
 
-def q3_descendants_view(
-    connector: PropertyGraph, spec: WorkloadSpec, max_hops: int = 4
+def q3_descendants(
+    graph: PropertyGraph,
+    spec: WorkloadSpec,
+    view: ConnectorCandidate | None = None,
+    max_hops: int = 4,
 ) -> DataFrame:
-    """Q3 over the connector: half the hops (§ VII-C)."""
-    return _reach_pairs(connector, spec, 1, max_hops // 2).select(
-        F.col("src").alias("v"), F.col("dst").alias("descendant")
+    """Q3: forward data lineage — (v, descendant) pairs of anchor
+    vertices within ``max_hops``."""
+    t = spec.anchor_type
+    match = f"MATCH (v:{t}) -[*1..{max_hops}]-> (d:{t}) RETURN v AS v, d AS descendant"
+    return _run(execute_pattern, graph, spec, parse_match(match), view)
+
+
+def _max_ts(graph: PropertyGraph, pattern: QueryPattern) -> DataFrame:
+    """The max edge ``ts`` over all walks of the pattern's single path,
+    as ``dist`` next to the returned endpoints. The endpoint types go
+    into the expansion: the source type filters the first hop and the
+    destination type the emitted pairs."""
+    (path,) = pattern.paths
+    pairs = expand(
+        graph.typed_edges(path.etype), path.lower, path.upper, carry="max",
+        sources=graph.typed_vertices(pattern.vtype(path.src)),
+        targets=graph.typed_vertices(pattern.vtype(path.dst)),
     )
-
-
-def q2_ancestors_view(
-    connector: PropertyGraph, spec: WorkloadSpec, max_hops: int = 4
-) -> DataFrame:
-    return _reach_pairs(connector, spec, 1, max_hops // 2).select(
-        F.col("dst").alias("v"), F.col("src").alias("ancestor")
+    end = {path.src: "src", path.dst: "dst"}
+    return pairs.select(
+        *[F.col(end[var]).alias(alias) for var, alias in pattern.returns],
+        F.col("m").alias("dist"),
     )
-
-
-# ---------------------------------------------------------------------------
-# Q4: path lengths (max edge timestamp over all paths, ≤ max_hops)
-# ---------------------------------------------------------------------------
 
 
 def q4_path_lengths(
-    graph: PropertyGraph, spec: WorkloadSpec, max_hops: int = 4
+    graph: PropertyGraph,
+    spec: WorkloadSpec,
+    view: ConnectorCandidate | None = None,
+    max_hops: int = 4,
 ) -> DataFrame:
     """Q4: per (source, reached) anchor pair, the max edge ``ts`` over
-    all connecting paths within ``max_hops`` (a weighted distance)."""
-    pairs = khop_pairs_with_max(graph.edges, 1, max_hops, prop="ts")
-    return restrict_endpoints(
-        pairs, graph.vertices, spec.anchor_type, spec.anchor_type
-    ).select("src", "dst", F.col("m").alias("dist"))
-
-
-def q4_path_lengths_view(
-    connector: PropertyGraph, spec: WorkloadSpec, max_hops: int = 4
-) -> DataFrame:
-    """Q4 over the connector: half the hops; exact because max composes
-    across path contraction (connector edges carry per-path max ts)."""
-    pairs = khop_pairs_with_max(connector.edges, 1, max_hops // 2, prop="ts")
-    return restrict_endpoints(
-        pairs, connector.vertices, spec.anchor_type, spec.anchor_type
-    ).select("src", "dst", F.col("m").alias("dist"))
+    all connecting paths within ``max_hops`` (a weighted distance).
+    Exact over a connector: its edges carry the max ``ts`` of the paths
+    they contract, and max composes across contraction."""
+    t = spec.anchor_type
+    match = f"MATCH (s:{t}) -[*1..{max_hops}]-> (d:{t}) RETURN s AS src, d AS dst"
+    return _run(_max_ts, graph, spec, parse_match(match), view)
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,17 @@ def var_length_sql(lower: int, upper: int, zero_pred: str = "TRUE") -> str:
     """
 
 
-def max_ts_sql(lower: int, upper: int) -> str:
+def max_ts_sql(
+    lower: int, upper: int, src_type: str | None = None, dst_type: str | None = None
+) -> str:
     """Oracle for khop_pairs_with_max: max edge ts over all walks of
-    length in [lower..upper] per endpoint pair."""
+    length in [lower..upper] per endpoint pair, optionally only between
+    vertices of ``src_type`` and ``dst_type``."""
+    ends = "".join(
+        f" JOIN vertices {a} ON walk.{col} = {a}.id AND {a}.vtype = '{vtype}'"
+        for a, col, vtype in (("vs", "src", src_type), ("vd", "dst", dst_type))
+        if vtype is not None
+    )
     return f"""
     WITH RECURSIVE walk(src, dst, m, k) AS (
         SELECT src, dst, ts, 1 FROM edges
@@ -111,6 +119,6 @@ def max_ts_sql(lower: int, upper: int) -> str:
         SELECT w.src, e.dst, GREATEST(w.m, e.ts), w.k + 1
         FROM walk w JOIN edges e ON w.dst = e.src WHERE w.k < {upper}
     )
-    SELECT src, dst, MAX(m) AS m FROM walk
-    WHERE k BETWEEN {lower} AND {upper} GROUP BY src, dst
+    SELECT walk.src, walk.dst, MAX(walk.m) AS m FROM walk{ends}
+    WHERE walk.k BETWEEN {lower} AND {upper} GROUP BY walk.src, walk.dst
     """

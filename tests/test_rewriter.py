@@ -6,10 +6,13 @@ from repro.core import (
     BLAST_RADIUS_MATCH,
     HOMOGENEOUS,
     PROVENANCE_CORE,
+    PROVENANCE_FULL,
     ConnectorCandidate,
     ViewEnumerator,
     parse_match,
 )
+from repro.core.cost import CostModel
+from repro.core.selection import ViewSelector
 from repro.core.rewriter import (
     best_rewriting,
     feasible_hop_counts,
@@ -23,6 +26,8 @@ def blast():
 
 
 JJ2 = ConnectorCandidate("q_j1", "q_j2", "Job", "Job", 2)
+# Q4 of the benchmark workload, with its own variable names.
+Q4_MATCH = "MATCH (s:Job) -[r*1..4]-> (t:Job) RETURN s AS src, t AS dst"
 
 
 class TestFeasibleHops:
@@ -81,6 +86,64 @@ class TestRewriteWithConnector:
                                     PROVENANCE_CORE)
         assert rw is not None and (rw.lower, rw.upper) == (1, 2)
 
+    def test_binds_by_type_not_by_enumerated_names(self, blast):
+        """The candidate ``candidate_views([Q1, Q4])`` keeps carries Q1's
+        variable names; Q4 still rewrites over it, with its own names."""
+        q4 = parse_match(Q4_MATCH)
+        selector = ViewSelector(
+            ViewEnumerator(PROVENANCE_CORE), CostModel(PROVENANCE_CORE)
+        )
+        (view,) = [
+            c for c in selector.candidate_views([blast, q4]) if c.k == 2
+        ]
+        assert (view.src_var, view.dst_var) == ("q_j1", "q_j2")
+        rw = rewrite_with_connector(q4, view, PROVENANCE_CORE)
+        assert rw is not None and (rw.lower, rw.upper) == (1, 2)
+        (p,) = rw.rewritten.paths
+        assert (p.src, p.dst) == ("s", "t")
+        assert rw.rewritten.returns == (("s", "src"), ("t", "dst"))
+
+    def test_destination_first_return_order_kept(self):
+        """A Q2-shaped query returns the path's destination first; the
+        rewriting keeps that order and the path's direction."""
+        q = parse_match(
+            "MATCH (a:Job) -[*1..4]-> (v:Job) RETURN v AS v, a AS ancestor"
+        )
+        rw = rewrite_with_connector(q, JJ2, PROVENANCE_CORE)
+        assert rw is not None and (rw.lower, rw.upper) == (1, 2)
+        (p,) = rw.rewritten.paths
+        assert (p.src, p.dst) == ("a", "v")
+        assert rw.rewritten.returns == (("v", "v"), ("a", "ancestor"))
+
+    @pytest.mark.parametrize(
+        "match",
+        [
+            # b has a 2-hop tail the rewriting would drop (on fig3 that
+            # adds (j1,j4), (j2,j4), (j3,j4)).
+            "MATCH (a:Job)-[*1..4]->(b:Job), (b:Job)-[*2..2]->(c:Job) "
+            "RETURN a AS A, b AS B",
+            # a branch off the chain
+            "MATCH (a:Job)-[*1..4]->(b:Job), (a:Job)-[:WRITES_TO]->(f:File) "
+            "RETURN a AS A, b AS B",
+            # a cycle: refused before any Prolog call
+            "MATCH (a:Job)-[*1..4]->(b:Job), (b:Job)-[*1..4]->(a:Job) "
+            "RETURN a AS A, b AS B",
+            # zero-length walks pair every Job with itself; the view has
+            # no zero-length edges
+            "MATCH (a:Job)-[*0..4]->(b:Job) RETURN a AS A, b AS B",
+        ],
+    )
+    def test_pattern_off_the_chain_refused(self, match):
+        view = ConnectorCandidate("a", "b", "Job", "Job", 2)
+        assert rewrite_with_connector(parse_match(match), view, PROVENANCE_CORE) is None
+
+    def test_mixed_type_view_not_chained(self):
+        """Job→Task walks have lengths 1 and 2 (via Task→Task), but a
+        Job→Task connector's edges cannot follow one another."""
+        q = parse_match("MATCH (j:Job)-[*1..2]->(t:Task) RETURN j AS J, t AS T")
+        view = ConnectorCandidate("j", "t", "Job", "Task", 1)
+        assert rewrite_with_connector(q, view, PROVENANCE_FULL) is None
+
     def test_homogeneous_odd_hops_refused(self):
         """On a homogeneous schema all K ∈ 1..4 are feasible; an exact
         2-hop connector misses odd-length paths."""
@@ -89,6 +152,30 @@ class TestRewriteWithConnector:
             q, ConnectorCandidate("a", "b", "Vertex", "Vertex", 2), HOMOGENEOUS
         )
         assert rw is None
+
+
+UP2 = ConnectorCandidate("a", "b", "Vertex", "Vertex", 2, "upto_khop")
+
+
+class TestUptoKhop:
+    """The up-to-k connector: feasible hops exactly L..U, k | U and
+    L ≤ U/k rewrite to *L..U/k."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, want", [(1, 4, (1, 2)), (2, 4, (2, 2)), (1, 3, None), (3, 4, None)]
+    )
+    def test_range_rule(self, lo, hi, want):
+        q = parse_match(f"MATCH (a:Vertex)-[*{lo}..{hi}]->(b:Vertex) RETURN a AS S, b AS T")
+        rw = rewrite_with_connector(q, UP2, HOMOGENEOUS)
+        assert (None if rw is None else (rw.lower, rw.upper)) == want
+        if rw is not None:
+            (p,) = rw.rewritten.paths
+            assert p.etype == "CONN1TO2_Vertex_Vertex"
+
+    def test_gapped_hops_refused(self, blast):
+        """The blast radius's hop counts 2, 4, …, 10 have gaps."""
+        view = ConnectorCandidate("a", "b", "Job", "Job", 2, "upto_khop")
+        assert rewrite_with_connector(blast, view, PROVENANCE_CORE) is None
 
 
 class TestBestRewriting:

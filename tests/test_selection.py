@@ -114,6 +114,13 @@ class TestViewSelector:
         res = selector.select([blast], _prov_stats(), budget=1e9)
         assert any(qmap.get(0, 0) > 1 for qmap in res.per_query_improvement.values())
 
+    def test_improvement_recorded_for_every_query(self, selector, blast):
+        """The kept 2-hop candidate carries Q1's variable names and still
+        improves a second query written with its own."""
+        q4 = parse_match("MATCH (s:Job) -[r*1..4]-> (t:Job) RETURN s AS src, t AS dst")
+        res = selector.select([blast, q4], _prov_stats(), budget=1e9)
+        assert any(set(qmap) == {0, 1} for qmap in res.per_query_improvement.values())
+
     def test_query_weights_scale_value(self, selector, blast):
         stats = _prov_stats()
         r1 = selector.select([blast], stats, budget=1e9, query_weights=[1.0])

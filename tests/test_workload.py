@@ -2,6 +2,8 @@
 equivalence — every rewritten query must return exactly the baseline
 result. Baselines are additionally oracle-checked against DuckDB.
 """
+from dataclasses import replace
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -13,18 +15,16 @@ from repro.workload import (
     homogeneous_spec,
     prov_spec,
     q1_blast_radius,
-    q1_blast_radius_view,
     q2_ancestors,
-    q2_ancestors_view,
     q3_descendants,
-    q3_descendants_view,
     q4_path_lengths,
-    q4_path_lengths_view,
     q5_edge_count,
     q6_vertex_count,
     q7_communities,
     q8_largest_community,
 )
+
+from .conftest import max_ts_sql
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def prov_env(tiny_prov):
     spec = prov_spec()
     g = keep_vertex_types(tiny_prov, {"Job", "File"}).persist()
     g.edges.count()
-    conn = build_connector(g, spec)
+    conn = build_connector(g, spec.view)
     yield g, conn, spec
     g.unpersist()
     conn.unpersist()
@@ -45,7 +45,7 @@ def dblp_env(tiny_dblp):
         tiny_dblp, {"Author", "Article", "Inproc", "Publication"}
     ).persist()
     g.edges.count()
-    conn = build_connector(g, spec)
+    conn = build_connector(g, spec.view)
     yield g, conn, spec
     g.unpersist()
     conn.unpersist()
@@ -58,7 +58,7 @@ def soc_env(spark):
     spec = homogeneous_spec("soc")
     g = social(spark, scale=0.04).persist()
     g.edges.count()
-    conn = build_connector(g, spec)
+    conn = build_connector(g, spec.view)
     yield g, conn, spec
     g.unpersist()
     conn.unpersist()
@@ -71,7 +71,7 @@ def road_env(spark):
     spec = homogeneous_spec("roadnet")
     g = roadnet(spark, scale=0.03).persist()
     g.edges.count()
-    conn = build_connector(g, spec)
+    conn = build_connector(g, spec.view)
     yield g, conn, spec
     g.unpersist()
     conn.unpersist()
@@ -92,7 +92,7 @@ class TestQ1:
         the same rows as over the base graph."""
         g, conn, spec = _env(request, env)
         base = q1_blast_radius(g, spec)
-        view = q1_blast_radius_view(conn, spec)
+        view = q1_blast_radius(conn, spec, spec.view)
         assert_equivalent(view, "SELECT * FROM ref", ref=base)
 
     def test_prov_baseline_against_duckdb(self, prov_env):
@@ -142,15 +142,21 @@ class TestQ2Q3:
     def test_q2_view_equivalence(self, request, env):
         g, conn, spec = _env(request, env)
         base = q2_ancestors(g, spec)
-        view = q2_ancestors_view(conn, spec)
+        view = q2_ancestors(conn, spec, spec.view)
         assert_equivalent(view, "SELECT * FROM ref", ref=base)
 
     @pytest.mark.parametrize("env", ALL_ENVS)
     def test_q3_view_equivalence(self, request, env):
         g, conn, spec = _env(request, env)
         base = q3_descendants(g, spec)
-        view = q3_descendants_view(conn, spec)
+        view = q3_descendants(conn, spec, spec.view)
         assert_equivalent(view, "SELECT * FROM ref", ref=base)
+
+    def test_view_without_rewriting_raises(self, prov_env):
+        """A 4-hop connector loses the 2-hop pairs: no rewriting, no run."""
+        _g, conn, spec = prov_env
+        with pytest.raises(ValueError, match="admits no rewriting"):
+            q3_descendants(conn, spec, replace(spec.view, k=4))
 
     def test_q3_prov_against_duckdb(self, prov_env):
         g, _conn, spec = prov_env
@@ -187,8 +193,23 @@ class TestQ4:
         exact (not just similar)."""
         g, conn, spec = _env(request, env)
         base = q4_path_lengths(g, spec)
-        view = q4_path_lengths_view(conn, spec)
+        view = q4_path_lengths(conn, spec, spec.view)
         assert_equivalent(view, "SELECT * FROM ref", ref=base)
+
+    @pytest.mark.parametrize(
+        "graph, spec", [("fig3", prov_spec()), ("cyclic", homogeneous_spec("cyclic"))]
+    )
+    @pytest.mark.parametrize("max_hops", [1, 3, 4])
+    def test_endpoint_types_against_duckdb(self, request, graph, spec, max_hops):
+        """Q4 passes its endpoint types into the expansion."""
+        g = request.getfixturevalue(graph)
+        t = spec.anchor_type
+        assert_equivalent(
+            q4_path_lengths(g, spec, max_hops=max_hops).withColumnRenamed("dist", "m"),
+            max_ts_sql(1, max_hops, t, t),
+            edges=g.edges.toPandas(),
+            vertices=g.vertices.toPandas(),
+        )
 
     def test_road_against_duckdb(self, road_env):
         g, _conn, _spec = road_env
