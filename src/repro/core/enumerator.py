@@ -26,9 +26,9 @@ class ConnectorCandidate:
 
     ``src_var``/``dst_var`` name the query vertices the template was
     instantiated for; the rewriter binds a view to a query by the types
-    alone. ``kind`` records which template produced it: ``"khop"`` and
-    ``"same_vertex_type"`` contract walks of exactly k edges;
-    ``"upto_khop"`` is the homogeneous connector of
+    alone. ``kind`` records which template produced it: ``"khop"``
+    contracts walks of exactly k edges; ``"upto_khop"`` is the
+    homogeneous connector of
     :func:`repro.views.connectors.upto_khop_connector`, one edge per pair
     within 1..k hops.
     """
@@ -136,16 +136,6 @@ class ViewEnumerator:
         return sorted(out, key=lambda c: (c.src_type, c.dst_type, c.k,
                                           c.src_var, c.dst_var))
 
-    def same_vertex_type_connectors(
-        self, pattern: QueryPattern, *, projected_only: bool = True
-    ) -> list[ConnectorCandidate]:
-        return [
-            ConnectorCandidate(c.src_var, c.dst_var, c.src_type, c.dst_type,
-                               c.k, kind="same_vertex_type")
-            for c in self.khop_connectors(pattern, projected_only=projected_only)
-            if c.same_vertex_type
-        ]
-
     def source_to_sink_connectors(
         self, pattern: QueryPattern
     ) -> list[SourceToSinkCandidate]:
@@ -214,13 +204,10 @@ class ViewEnumerator:
         )
 
 
-def unconstrained_schema_walk_count(schema: GraphSchema, k: int) -> int:
-    """Number of k-step walks over the schema graph — the size of the
-    search space ``schemaKHopPath`` would explore with *no* query
-    constraints (§ IV-A2 argues this is ≥ M^k with a schema cycle).
-    Closed form: sum of the k-th power of the typed adjacency matrix,
-    with multi-edges counted (M parallel schema edges multiply walks).
-    """
+def schema_walk_counts(schema: GraphSchema, k: int) -> dict[tuple[str, str], int]:
+    """Number of k-step schema walks per ``(src_type, dst_type)``: the
+    k-th power of the typed adjacency matrix, with multi-edges counted
+    (M parallel schema edges multiply walks)."""
     types = list(schema.vertex_types)
     idx = {t: i for i, t in enumerate(types)}
     n = len(types)
@@ -242,4 +229,11 @@ def unconstrained_schema_walk_count(schema: GraphSchema, k: int) -> int:
             power = matmul(power, base)
         base = matmul(base, base)
         kk >>= 1
-    return sum(sum(row) for row in power)
+    return {(a, b): power[idx[a]][idx[b]] for a in types for b in types}
+
+
+def unconstrained_schema_walk_count(schema: GraphSchema, k: int) -> int:
+    """Number of k-step walks over the schema graph — the size of the
+    search space ``schemaKHopPath`` would explore with *no* query
+    constraints (§ IV-A2 argues this is ≥ M^k with a schema cycle)."""
+    return sum(schema_walk_counts(schema, k).values())

@@ -59,10 +59,12 @@ class GraphStats:
 
 
 def collect_stats(graph) -> GraphStats:
-    """Compute :class:`GraphStats` for a ``PropertyGraph`` with one pass
-    of DataFrame aggregations (run at load time in Kaskade)."""
+    """Compute :class:`GraphStats` for a ``PropertyGraph`` with one
+    per-type aggregation over vertices joined to their out-degrees (run
+    at load time in Kaskade). ``n_edges`` is counted on its own, so edges
+    whose source is not a vertex still count; a type is a source type
+    when one of its vertices has an out-edge."""
     vertices, edges = graph.vertices, graph.edges
-    n_vertices = vertices.count()
     n_edges = edges.count()
     out_deg = edges.groupBy("src").agg(F.count("*").alias("d"))
     typed = (
@@ -75,28 +77,21 @@ def collect_stats(graph) -> GraphStats:
     ]
     rows = (
         typed.groupBy("vtype")
-        .agg(F.count("*").alias("n"), *pct_exprs)
+        .agg(F.count("*").alias("n"), (F.max("d") > 0).alias("src"), *pct_exprs)
         .collect()
     )
-    src_types = {
-        r["vtype"]
-        for r in edges.join(
-            vertices.select(F.col("id").alias("src"), "vtype"), "src"
-        )
-        .select("vtype")
-        .distinct()
-        .collect()
-    }
     per_type = {
         r["vtype"]: TypeStats(
             vtype=r["vtype"],
             n_vertices=r["n"],
             out_deg={p: float(r[f"p{p}"]) for p in PERCENTILES},
-            is_source=r["vtype"] in src_types,
+            is_source=r["src"],
         )
         for r in rows
     }
-    return GraphStats(n_vertices=n_vertices, n_edges=n_edges, per_type=per_type)
+    return GraphStats(
+        n_vertices=sum(r["n"] for r in rows), n_edges=n_edges, per_type=per_type
+    )
 
 
 def er_estimate(n: int, m: int, k: int) -> float:

@@ -15,7 +15,11 @@ rewriting iff (Lst. 1 → Lst. 4 in the paper):
 2. for a **k-hop** connector, every schema-feasible end-to-end hop count
    ``K`` is a multiple of ``k`` (otherwise paths are lost), the ``K/k``
    form a contiguous range (Cypher's ``*lo..hi`` cannot express gaps),
-   and edges between two different types are not chained;
+   edges between two different types are not chained, and every schema
+   walk ``src_type ⇝ src_type`` of each used length ``m·k`` is at
+   ``src_type`` after every k edges, i.e. ``((M^k)[S,S])^m ==
+   (M^{mk})[S,S]`` for the schema adjacency matrix ``M`` (otherwise a
+   walk through another type there is lost);
 3. for an **up-to-k** connector (pairs within 1..k hops), the ``K`` are
    exactly ``L..U`` with ``k | U`` and ``L ≤ U/k``, rewritten to
    ``*L..U/k``: a length-ℓ walk splits into ``max(L, ⌈ℓ/k⌉)`` steps of
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..prolog import Var, s
-from .enumerator import ConnectorCandidate, ViewEnumerator
+from .enumerator import ConnectorCandidate, ViewEnumerator, schema_walk_counts
 from .pattern import QueryPattern, VarLengthPath
 from .schema import GraphSchema
 
@@ -91,7 +95,9 @@ def _is_chain(pattern: QueryPattern, src: str, dst: str) -> bool:
     )
 
 
-def _connector_hops(ks: list[int], view: ConnectorCandidate) -> tuple[int, int] | None:
+def _connector_hops(
+    ks: list[int], view: ConnectorCandidate, schema: GraphSchema
+) -> tuple[int, int] | None:
     """Connector-hop bounds for end-to-end hop counts ``ks``
     (conditions 2 and 3), or ``None``."""
     k = view.k
@@ -107,6 +113,10 @@ def _connector_hops(ks: list[int], view: ConnectorCandidate) -> tuple[int, int] 
         return None  # gapped ranges are inexpressible as *lo..hi
     if hops[-1] > 1 and not view.same_vertex_type:
         return None  # src_type → dst_type edges do not chain
+    loop = (view.src_type, view.src_type)
+    step = schema_walk_counts(schema, k)[loop]
+    if any(step**m != schema_walk_counts(schema, m * k)[loop] for m in hops if m > 1):
+        return None  # some walk is off src_type after a multiple of k edges
     return hops[0], hops[-1]
 
 
@@ -127,7 +137,7 @@ def rewrite_with_connector(
     else:
         return None
     ks = feasible_hop_counts(pattern, schema, src, dst)
-    bounds = _connector_hops(ks, view) if ks else None
+    bounds = _connector_hops(ks, view, schema) if ks else None
     if bounds is None:
         return None
     rewritten = QueryPattern(

@@ -48,11 +48,6 @@ class GraphSchema:
         """Vertex types reachable from ``vtype`` in one hop."""
         return {e.dst_type for e in self.edges if e.src_type == vtype}
 
-    def source_types(self) -> set[str]:
-        """Vertex types that are the domain of at least one edge type
-        (the index set :math:`T_G` of Eq. 3)."""
-        return {e.src_type for e in self.edges}
-
     def khop_type_paths(self, src_type: str, dst_type: str, k: int) -> bool:
         """True iff a k-hop *walk* ``src_type → … → dst_type`` is feasible
         over the schema graph. Python twin of the ``schemaKHopPath``

@@ -19,8 +19,8 @@ Structure mirrors what the paper's experiments depend on:
   earlier jobs, so lineage traversals terminate.
 
 Vertex-id ranges: jobs < 1e6 ≤ files < 2e6 ≤ tasks < 3e6 ≤ machines
-< 4e6 ≤ users. Sizes scale linearly in ``scale`` (scale=1 ≈ 120k raw
-edges; tests use ~0.05, benchmarks 2–4).
+< 4e6 ≤ users. Sizes scale linearly in ``scale`` (scale=1 ≈ 108k raw
+edges; tests use ~0.05, the bench profile 1.0).
 """
 from __future__ import annotations
 

@@ -100,14 +100,6 @@ class PropertyGraph:
         self.edges.unpersist()
         return self
 
-    def checkpointed(self) -> "PropertyGraph":
-        """Cut lineage (for iterated algorithms / view pipelines)."""
-        return replace(
-            self,
-            vertices=self.vertices.localCheckpoint(eager=True),
-            edges=self.edges.localCheckpoint(eager=True),
-        )
-
     def validate_referential_integrity(self) -> None:
         """Assert every edge endpoint exists in ``vertices`` — used by
         dataset-generator tests, not on the hot path."""

@@ -14,6 +14,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from ..engine.property_graph import PropertyGraph
+from .summarizers import _induced_edges
 
 
 def undirected_neighbors(graph: PropertyGraph) -> DataFrame:
@@ -81,14 +82,10 @@ def largest_community(
         raise ValueError("graph has no vertices of the requested type")
     com = top[0]["community"]
     member_ids = labels.where(F.col("community") == com).select("id")
-    vertices = graph.vertices.join(member_ids, "id")
-    keep_src = member_ids.select(F.col("id").alias("src"))
-    keep_dst = member_ids.select(F.col("id").alias("dst"))
-    edges = graph.edges.join(keep_src, "src").join(keep_dst, "dst").select(
-        *graph.edges.columns
-    )
     return int(com), PropertyGraph(
-        vertices=vertices, edges=edges, name=f"{graph.name}:community{com}"
+        vertices=graph.vertices.join(member_ids, "id"),
+        edges=_induced_edges(graph, member_ids),
+        name=f"{graph.name}:community{com}",
     )
 
 

@@ -149,9 +149,9 @@ def _edge_prefix(graph: PropertyGraph, n: int) -> PropertyGraph:
 
 
 def fig5_rows(spark: SparkSession, profile: str = "test", k: int = 2) -> list[dict]:
-    """Estimated vs. actual 2-hop connector sizes over edge prefixes:
-    columns est50 / est95 (Eq. 2/3), est_er (Eq. 1), actual (k-length
-    path count), and the prefix size |E| itself."""
+    """Estimated vs. actual 2-hop connector sizes over edge prefixes and
+    then the whole graph: columns est50 / est95 (Eq. 2/3), est_er
+    (Eq. 1), actual (k-length path count), and the edge count |E|."""
     graphs: list[tuple[str, PropertyGraph]] = []
     for name, _raw, summ, _spec in heterogeneous_graphs(spark, profile):
         graphs.append((name, summ))
@@ -160,15 +160,14 @@ def fig5_rows(spark: SparkSession, profile: str = "test", k: int = 2) -> list[di
     rows = []
     for name, g in graphs:
         total = g.edge_count()
-        for n in FIG5_PREFIXES[profile]:
-            if n > total:
-                continue
-            sub = _edge_prefix(g, n).persist()
+        prefixes = [_edge_prefix(g, n) for n in FIG5_PREFIXES[profile] if n < total]
+        for sub in [*prefixes, g]:
+            sub = sub.persist()
             stats = collect_stats(sub)
             rows.append(
                 {
                     "dataset": name,
-                    "E": n,
+                    "E": stats.n_edges,
                     "est50": estimate_khop_paths(stats, k, 50),
                     "est95": estimate_khop_paths(stats, k, 95),
                     "est_er": er_estimate(stats.n_vertices, stats.n_edges, k),

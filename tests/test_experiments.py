@@ -35,6 +35,11 @@ def f7(spark):
     return fig7_rows(spark, "test")
 
 
+@pytest.fixture(scope="module")
+def e2e(spark):
+    return end_to_end_selection_rows(spark, "test")
+
+
 class TestTable3:
     def test_all_datasets_present(self, t3):
         names = {r["dataset"] for r in t3}
@@ -144,29 +149,24 @@ class TestFig7:
 
 
 class TestEndToEndSelection:
-    def test_prov_selects_2hop_job_connector(self, spark):
-        rows = end_to_end_selection_rows(spark, "test")
-        prov = [r for r in rows if r["dataset"] == "prov"]
+    def test_prov_selects_2hop_job_connector(self, e2e):
+        prov = [r for r in e2e if r["dataset"] == "prov"]
         chosen = [r for r in prov if r["chosen"]]
         assert any(r["view"] == "CONN2_Job_Job" for r in chosen)
 
-    def test_dblp_selects_2hop_author_connector(self, spark):
-        rows = end_to_end_selection_rows(spark, "test")
-        chosen = [r for r in rows if r["dataset"] == "dblp" and r["chosen"]]
+    def test_dblp_selects_2hop_author_connector(self, e2e):
+        chosen = [r for r in e2e if r["dataset"] == "dblp" and r["chosen"]]
         assert any(r["view"] == "CONN2_Author_Author" for r in chosen)
 
-    def test_k4_and_above_never_chosen(self, spark):
-        rows = end_to_end_selection_rows(spark, "test")
-        assert all(r["view"].startswith("CONN2") for r in rows if r["chosen"])
+    def test_k4_and_above_never_chosen(self, e2e):
+        assert all(r["view"].startswith("CONN2") for r in e2e if r["chosen"])
 
-    def test_chosen_views_have_rewritings(self, spark):
-        rows = end_to_end_selection_rows(spark, "test")
-        for r in rows:
+    def test_chosen_views_have_rewritings(self, e2e):
+        for r in e2e:
             if r["chosen"] and r["view"].startswith("CONN2"):
                 assert r["rewrite"] == "*1..5"
 
-    def test_infeasible_k_never_rewrites(self, spark):
-        rows = end_to_end_selection_rows(spark, "test")
-        for r in rows:
+    def test_infeasible_k_never_rewrites(self, e2e):
+        for r in e2e:
             if not r["view"].startswith("CONN2"):
                 assert r["rewrite"] == "-"

@@ -66,10 +66,6 @@ class TestPropertyGraph:
         assert set(g.vertices.columns) == {"id", "vtype", "cpu", "pname"}
         assert set(g.edges.columns) == {"src", "dst", "etype", "ts"}
 
-    def test_checkpointed_preserves_data(self, fig3):
-        g2 = fig3.checkpointed()
-        assert g2.vertex_count() == 8 and g2.edge_count() == 8
-
 
 class TestCollectStats:
     """§ V-A graph data properties: per-type cardinality and out-degree
@@ -112,3 +108,16 @@ class TestCollectStats:
         stats = collect_stats(g)
         assert stats.per_type["A"].is_source
         assert not stats.per_type["B"].is_source
+
+    @pytest.mark.parametrize("name", ["tiny_prov", "tiny_dblp"])
+    def test_counts_and_source_types_match_pandas(self, name, request):
+        g = request.getfixturevalue(name)
+        vertices, edges = g.vertices.toPandas(), g.edges.toPandas()
+        stats = collect_stats(g)
+        assert stats.n_vertices == len(vertices)
+        assert stats.n_edges == len(edges)
+        assert {t: ts.n_vertices for t, ts in stats.per_type.items()} == (
+            vertices["vtype"].value_counts().to_dict()
+        )
+        sources = set(vertices.loc[vertices["id"].isin(edges["src"]), "vtype"])
+        assert {t for t, ts in stats.per_type.items() if ts.is_source} == sources

@@ -4,10 +4,12 @@ import pytest
 
 from repro.core import (
     BLAST_RADIUS_MATCH,
+    DBLP_CORE,
     HOMOGENEOUS,
     PROVENANCE_CORE,
     PROVENANCE_FULL,
     ConnectorCandidate,
+    GraphSchema,
     ViewEnumerator,
     parse_match,
 )
@@ -152,6 +154,39 @@ class TestRewriteWithConnector:
             q, ConnectorCandidate("a", "b", "Vertex", "Vertex", 2), HOMOGENEOUS
         )
         assert rw is None
+
+    @pytest.mark.parametrize(
+        "schema, match, view, want",
+        [
+            # A→A→B→A→A is at B after 2 edges: two steps of a 2-hop A→A
+            # connector miss it.
+            (
+                GraphSchema.of(
+                    ["A", "B"], [("A", "A", "x"), ("A", "B", "y"), ("B", "A", "z")]
+                ),
+                "MATCH (a:A)-[*4..4]->(b:A) RETURN a AS a, b AS b",
+                ConnectorCandidate("a", "b", "A", "A", 2),
+                None,
+            ),
+            # Every Author⇝Author walk is at an Author after each 2 edges.
+            (
+                DBLP_CORE,
+                "MATCH (a:Author)-[*2..8]->(b:Author) RETURN a AS A, b AS B",
+                ConnectorCandidate("a", "b", "Author", "Author", 2),
+                (1, 4),
+            ),
+            (
+                HOMOGENEOUS,
+                "MATCH (a:Vertex)-[*1..4]->(b:Vertex) RETURN a AS S, b AS T",
+                ConnectorCandidate("a", "b", "Vertex", "Vertex", 1),
+                (1, 4),
+            ),
+        ],
+        ids=["off-source-type", "dblp", "homogeneous-k1"],
+    )
+    def test_walks_at_source_type_every_k_hops(self, schema, match, view, want):
+        rw = rewrite_with_connector(parse_match(match), view, schema)
+        assert (None if rw is None else (rw.lower, rw.upper)) == want
 
 
 UP2 = ConnectorCandidate("a", "b", "Vertex", "Vertex", 2, "upto_khop")
