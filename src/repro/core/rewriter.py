@@ -5,13 +5,23 @@ produce the equivalent rewritten pattern over the view: the traversal
 core ``src ⇝ dst`` with feasible hop counts ``K`` becomes a
 variable-length path over connector edges.
 
-A connector view admits an *equivalence-preserving* single-view
-rewriting iff (Lst. 1 → Lst. 4 in the paper):
+The decision needs hop arithmetic only, not the § IV inference engine
+(which enumerates the views): the pattern's chain gives the hop counts,
+every ``K`` in ``[Σ lower, Σ upper]`` but 0 (``queryKHopPath``), and
+the schema adjacency matrix ``M`` keeps the feasible ones,
+``(M^K)[st, dt] > 0`` (``schemaKHopPath``). A connector view admits an
+*equivalence-preserving* single-view rewriting iff (Lst. 1 → Lst. 4 in
+the paper):
 
 1. it binds by type: ``src``/``dst`` are the query's only two projected
    vertices, typed ``(view.src_type, view.dst_type)``, and the whole
    pattern is one chain ``src → … → dst`` of length ≥ 1 (no branch,
-   cycle or element the rewriting would drop);
+   cycle or element the rewriting would drop), whose interior
+   constraints the schema implies: for every split of a hop count K
+   over the chain's elements, the schema walks that follow the chain
+   (each element on its edge type, each interior vertex on its declared
+   type) are all ``(M^K)[st, dt]`` of them (otherwise the view, which
+   contracts every walk, adds pairs);
 2. for a **k-hop** connector, every schema-feasible end-to-end hop count
    ``K`` is a multiple of ``k`` (otherwise paths are lost), the ``K/k``
    form a contiguous range (Cypher's ``*lo..hi`` cannot express gaps),
@@ -35,11 +45,11 @@ produces here — see DESIGN.md § Known deviations.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from ..prolog import Var, s
-from .enumerator import ConnectorCandidate, ViewEnumerator, schema_walk_counts
-from .pattern import QueryPattern, VarLengthPath
+from .enumerator import ConnectorCandidate, schema_walk_counts
+from .pattern import PatternEdge, QueryPattern, VarLengthPath
 from .schema import GraphSchema
 
 
@@ -54,45 +64,81 @@ class Rewriting:
     upper: int
 
 
+def _chain(
+    pattern: QueryPattern, src: str, dst: str
+) -> list[PatternEdge | VarLengthPath] | None:
+    """The pattern's elements from ``src`` to ``dst``, following the one
+    element that leaves each vertex on the way; ``None`` if a vertex on
+    the way has none or several, or the walk comes back to a vertex."""
+    leaving: dict[str, list] = {}
+    for el in (*pattern.edges, *pattern.paths):
+        leaving.setdefault(el.src, []).append(el)
+    chain, at, seen = [], src, {src}
+    while at != dst:
+        els = leaving.get(at, [])
+        if len(els) != 1 or els[0].dst in seen:
+            return None
+        chain.append(els[0])
+        at = els[0].dst
+        seen.add(at)
+    return chain
+
+
+def _lengths(el: PatternEdge | VarLengthPath) -> range:
+    """The hop lengths one chain element can take."""
+    if isinstance(el, VarLengthPath):
+        return range(el.lower, el.upper + 1)
+    return range(1, 2)
+
+
+def _walks(schema: GraphSchema, st: str, dt: str, K: int) -> int:
+    """``(M^K)[st, dt]``: the number of K-step schema walks st ⇝ dt."""
+    return schema_walk_counts(schema, K).get((st, dt), 0)
+
+
 def feasible_hop_counts(
     pattern: QueryPattern, schema: GraphSchema, src_var: str, dst_var: str
 ) -> list[int]:
-    """Schema-feasible end-to-end hop counts between two query vertices:
-    ``queryKHopPath`` values filtered by ``schemaKHopPath`` feasibility
-    of the endpoint types (both rules from § IV)."""
-    eng = ViewEnumerator(schema).engine_for(pattern)
-    K = Var("K")
-    ks = sorted({r["K"] for r in eng.query(s("queryKHopPath", src_var, dst_var, K))})
+    """Schema-feasible end-to-end hop counts between two query vertices
+    joined by a chain of the pattern: the chain's ``queryKHopPath``
+    values, every K in [Σ lower, Σ upper] but 0, for which a K-step
+    schema walk joins the endpoint types (``schemaKHopPath``, i.e.
+    ``(M^K)[st, dt] > 0``). Empty when no chain joins them."""
+    chain = _chain(pattern, src_var, dst_var)
+    if chain is None:
+        return []
     st, dt = pattern.vtype(src_var), pattern.vtype(dst_var)
-    out = []
-    for k in ks:
-        if k == 0:
-            continue  # zero-length: endpoints coincide, no edge traversed
-        if st is None or dt is None or eng.ask(s("schemaKHopPath", st, dt, k)):
-            out.append(k)
-    return out
+    lo = sum(_lengths(el)[0] for el in chain)
+    hi = sum(_lengths(el)[-1] for el in chain)
+    return [
+        K for K in range(max(lo, 1), hi + 1)
+        if st is None or dt is None or _walks(schema, st, dt, K) > 0
+    ]
 
 
-def _is_chain(pattern: QueryPattern, src: str, dst: str) -> bool:
-    """Condition 1's chain test, done before any Prolog call."""
-    out: dict = {}
-    for el in (*pattern.edges, *pattern.paths):
-        if el.src in out:
-            return False  # two elements leave one vertex
-        out[el.src] = el
-    at, seen, min_len = src, {src}, 0
-    while at != dst:
-        el = out.get(at)
-        if el is None or el.dst in seen:
+def _constraints_implied(
+    pattern: QueryPattern, chain: list, schema: GraphSchema
+) -> bool:
+    """Condition 1's implied constraints: for every split of a hop count
+    K over the chain's elements, the schema walks that follow the chain
+    (each element on its edge type, each vertex on its declared type)
+    are all ``(M^K)[st, dt]`` of them."""
+    st, dt = pattern.vtype(chain[0].src), pattern.vtype(chain[-1].dst)
+    for split in itertools.product(*map(_lengths, chain)):
+        counts = {st: 1}
+        for el, n in zip(chain, split):
+            for _ in range(n):
+                step: dict[str, int] = {}
+                for e in schema.edges:
+                    if e.src_type in counts and el.etype in (None, e.etype):
+                        step[e.dst_type] = step.get(e.dst_type, 0) + counts[e.src_type]
+                counts = step
+            t = pattern.vtype(el.dst)
+            if t is not None:
+                counts = {t: counts.get(t, 0)}
+        if counts.get(dt, 0) != _walks(schema, st, dt, sum(split)):
             return False
-        min_len += el.lower if isinstance(el, VarLengthPath) else 1
-        at = el.dst
-        seen.add(at)
-    return (
-        min_len > 0
-        and len(seen) == len(out) + 1
-        and seen == {v.name for v in pattern.vertices}
-    )
+    return True
 
 
 def _connector_hops(
@@ -128,17 +174,24 @@ def rewrite_with_connector(
     projected = [var for var, _ in pattern.returns]
     if len(projected) != 2 or projected[0] == projected[1]:
         return None
+    elements = [*pattern.edges, *pattern.paths]
+    names = {v.name for v in pattern.vertices}
     types = (view.src_type, view.dst_type)
     for src, dst in (projected, projected[::-1]):
-        if (pattern.vtype(src), pattern.vtype(dst)) == types and _is_chain(
-            pattern, src, dst
-        ):
+        if (pattern.vtype(src), pattern.vtype(dst)) != types:
+            continue
+        chain = _chain(pattern, src, dst)
+        if chain is not None and len(chain) == len(elements) and names == {
+            src, *(el.dst for el in chain)
+        }:
             break
     else:
         return None
+    if sum(_lengths(el)[0] for el in chain) == 0:
+        return None  # a zero-length walk pairs a vertex with itself
     ks = feasible_hop_counts(pattern, schema, src, dst)
     bounds = _connector_hops(ks, view, schema) if ks else None
-    if bounds is None:
+    if bounds is None or not _constraints_implied(pattern, chain, schema):
         return None
     rewritten = QueryPattern(
         vertices=(pattern.vertex(src), pattern.vertex(dst)),

@@ -20,9 +20,9 @@ in DESIGN.md § Known deviations):
   goal order inside ``kHopConnector`` guarantees this, which is exactly
   the "injecting constraints at enumeration time" point of § IV), and
   keep the trail-based variant verbatim as ``schemaKHopSimplePath``.
-- ``connectorSameVertexType`` / ``sourceToSinkConnector`` in Listing 3
-  call ``schemaPath(X, Y)`` on *query* vertices; schema feasibility is
-  clearly meant over their *types*, which is what we implement.
+- ``sourceToSinkConnector`` in Listing 3 calls ``schemaPath(X, Y)`` on
+  *query* vertices; schema feasibility is clearly meant over their
+  *types*, which is what we implement.
 - Listing 5's ``summarizerRemoveEdges`` negates ``queryEdgeType`` with
   an unbound removal type; we ground the candidate type against the
   schema first (standard NAF hygiene).
@@ -254,30 +254,6 @@ def connector_view_templates() -> list[Rule]:
             ],
         )
     )
-    # kHopConnectorSameVertexType(X, Y, VTYPE, K) :-
-    #   kHopConnector(X, Y, VTYPE, VTYPE, K).
-    X, Y, VT, K = _v("X", "Y", "VTYPE", "K")
-    rules.append(
-        (
-            s("kHopConnectorSameVertexType", X, Y, VT, K),
-            [s("kHopConnector", X, Y, VT, VT, K)],
-        )
-    )
-    # connectorSameVertexType(X, Y, VTYPE) :- queryVertexType(X, VTYPE),
-    #   queryVertexType(Y, VTYPE), queryPath(X, Y),
-    #   schemaPath(VTYPE, VTYPE).   [types, see module doc]
-    X, Y, VT = _v("X", "Y", "VTYPE")
-    rules.append(
-        (
-            s("connectorSameVertexType", X, Y, VT),
-            [
-                s("queryVertexType", X, VT),
-                s("queryVertexType", Y, VT),
-                s("queryPath", X, Y),
-                s("schemaPath", VT, VT),
-            ],
-        )
-    )
     # sourceToSinkConnector(X, Y) :- queryVertexSource(X),
     #   queryVertexSink(Y), queryPath(X, Y), schemaPath(XT, YT).
     X, Y, XT, YT = _v("X", "Y", "XT", "YT")
@@ -375,7 +351,6 @@ def build_engine(
     pattern: QueryPattern | None,
     schema: GraphSchema,
     extra_facts: list[Struct] | None = None,
-    extra_rules: list[Rule] | None = None,
 ) -> Engine:
     """Assemble an inference engine loaded with the explicit facts of
     ``pattern``/``schema`` plus the full rule library (Fig. 4 pipeline)."""
@@ -383,32 +358,20 @@ def build_engine(
     eng.add_facts(schema_facts(schema))
     if pattern is not None:
         eng.add_facts(query_facts(pattern))
-    else:
-        # No query: templates referencing query facts must fail cleanly,
-        # not raise "unknown predicate".
-        for name, arity in [
-            ("queryVertex", 1),
-            ("queryVertexType", 2),
-            ("queryEdge", 2),
-            ("queryEdgeType", 3),
-            ("queryVariableLengthPath", 4),
-            ("queryReturned", 1),
-        ]:
-            eng._db.setdefault((name, arity), [])
-    # A pattern may legitimately contain no edges or no var-length paths;
-    # make those predicates exist (empty) so rules fail instead of raising.
+    # No query, or a pattern with no edges or no var-length paths: make
+    # the query predicates exist (empty) so rules fail instead of raising
+    # "unknown predicate".
     for name, arity in [
+        ("queryVertex", 1),
+        ("queryVertexType", 2),
         ("queryEdge", 2),
         ("queryEdgeType", 3),
         ("queryVariableLengthPath", 4),
         ("queryReturned", 1),
-        ("queryVertexType", 2),
         ("property", 3),
     ]:
         eng._db.setdefault((name, arity), [])
     if extra_facts:
         eng.add_facts(extra_facts)
     eng.add_rules(all_rules())
-    if extra_rules:
-        eng.add_rules(extra_rules)
     return eng

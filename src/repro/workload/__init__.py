@@ -16,7 +16,7 @@ from .queries import (
     q6_vertex_count,
     q7_communities,
     q8_largest_community,
-    timed_count,
+    timed,
 )
 from .experiments import (
     PROFILES,
@@ -43,7 +43,7 @@ __all__ = [
     "q6_vertex_count",
     "q7_communities",
     "q8_largest_community",
-    "timed_count",
+    "timed",
     "PROFILES",
     "table3_rows",
     "fig5_rows",

@@ -41,7 +41,7 @@ from .queries import (
     q6_vertex_count,
     q7_communities,
     q8_largest_community,
-    timed_count,
+    timed,
 )
 
 PROFILES = {
@@ -217,11 +217,16 @@ def _run_queries(
     spec: WorkloadSpec,
     lpa_iters: int,
 ) -> list[dict]:
+    """One row per query. Each side of a cell is timed as a whole, from
+    building its DataFrame (which may already run Spark jobs, e.g. the
+    checkpoints of ``expand``) to the last row counted."""
     rows = []
 
-    def record(query, base_df, view_df):
-        nb, tb = timed_count(base_df)
-        nv, tv = timed_count(view_df)
+    def record(query, base, view, n=lambda out: out):
+        """``base``/``view`` build and evaluate one side; ``n`` gives
+        the rows to report from what they return."""
+        out_b, tb = timed(base)
+        out_v, tv = timed(view)
         rows.append(
             {
                 "dataset": spec.name,
@@ -229,10 +234,11 @@ def _run_queries(
                 "baseline_s": round(tb, 3),
                 "view_s": round(tv, 3),
                 "speedup": round(tb / tv, 2) if tv > 0 else float("inf"),
-                "baseline_rows": nb,
-                "view_rows": nv,
+                "baseline_rows": n(out_b),
+                "view_rows": n(out_v),
             }
         )
+        return out_b, out_v
 
     queries = [("Q1 blast radius", q1_blast_radius)] if spec.heterogeneous else []
     queries += [
@@ -241,36 +247,33 @@ def _run_queries(
         ("Q4 path lengths", q4_path_lengths),
     ]
     for name, query in queries:
-        record(name, query(graph, spec), query(connector, spec, spec.view))
-    record("Q5 edge count", q5_edge_count(graph), q5_edge_count(graph))
-    record("Q6 vertex count", q6_vertex_count(graph), q6_vertex_count(graph))
+        record(
+            name,
+            lambda: query(graph, spec).count(),
+            lambda: query(connector, spec, spec.view).count(),
+        )
+    record("Q5 edge count", lambda: q5_edge_count(graph).count(),
+           lambda: q5_edge_count(graph).count())
+    record("Q6 vertex count", lambda: q6_vertex_count(graph).count(),
+           lambda: q6_vertex_count(graph).count())
+
     # Q7/Q8: baseline = full iterations on the graph; view = half on the
     # connector (§ VII-C). Q8 consumes Q7's labels.
-    import time as _t
+    def communities(g, iters):
+        labels = q7_communities(g, iters).persist()
+        labels.count()
+        return labels
 
-    t0 = _t.perf_counter()
-    base_labels = q7_communities(graph, lpa_iters).persist()
-    base_labels.count()
-    tb = _t.perf_counter() - t0
-    t0 = _t.perf_counter()
-    view_labels = q7_communities(connector, lpa_iters // 2).persist()
-    view_labels.count()
-    tv = _t.perf_counter() - t0
-    rows.append(
-        {
-            "dataset": spec.name,
-            "query": "Q7 community detection",
-            "baseline_s": round(tb, 3),
-            "view_s": round(tv, 3),
-            "speedup": round(tb / tv, 2) if tv > 0 else float("inf"),
-            "baseline_rows": base_labels.select("community").distinct().count(),
-            "view_rows": view_labels.select("community").distinct().count(),
-        }
+    base_labels, view_labels = record(
+        "Q7 community detection",
+        lambda: communities(graph, lpa_iters),
+        lambda: communities(connector, lpa_iters // 2),
+        n=lambda labels: labels.select("community").distinct().count(),
     )
     record(
         "Q8 largest community",
-        q8_largest_community(base_labels, graph, spec),
-        q8_largest_community(view_labels, connector, spec),
+        lambda: q8_largest_community(base_labels, graph, spec).count(),
+        lambda: q8_largest_community(view_labels, connector, spec).count(),
     )
     base_labels.unpersist()
     view_labels.unpersist()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -33,6 +33,8 @@ from ..engine.property_graph import PropertyGraph
 from ..engine.traversal import expand
 from ..views.algorithms import label_propagation, largest_community
 from ..views.connectors import khop_connector, materialize, upto_khop_connector
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -249,8 +251,9 @@ def q8_largest_community(
 # ---------------------------------------------------------------------------
 
 
-def timed_count(df: DataFrame) -> tuple[int, float]:
-    """Force full evaluation of a query result; returns (rows, seconds)."""
+def timed(thunk: Callable[[], T]) -> tuple[T, float]:
+    """Run ``thunk`` (build a query result and force its evaluation);
+    returns (its value, seconds)."""
     t0 = time.perf_counter()
-    n = df.count()
-    return n, time.perf_counter() - t0
+    out = thunk()
+    return out, time.perf_counter() - t0

@@ -20,6 +20,8 @@ from repro.core.rewriter import (
     feasible_hop_counts,
     rewrite_with_connector,
 )
+from repro.prolog import Engine
+from repro.workload.queries import dblp_spec, prov_spec, q1_pattern
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,39 @@ class TestRewriteWithConnector:
     def test_walks_at_source_type_every_k_hops(self, schema, match, view, want):
         rw = rewrite_with_connector(parse_match(match), view, schema)
         assert (None if rw is None else (rw.lower, rw.upper)) == want
+
+    @pytest.mark.parametrize(
+        "p, want",
+        # Author→Author walks of length 2 also pass through Inproc and
+        # Publication, so a 2-hop Author connector over-covers (p:Article).
+        [("(p:Article)", None), ("(p)", (1, 1))],
+        ids=["typed-interior", "untyped-interior"],
+    )
+    def test_interior_types_implied_by_schema(self, p, want):
+        q = parse_match(
+            f"MATCH (a:Author)-[:WROTE]->{p}, {p}-[:WRITTEN_BY]->(b:Author) "
+            "RETURN a AS A, b AS B"
+        )
+        view = ConnectorCandidate("a", "b", "Author", "Author", 2)
+        rw = rewrite_with_connector(q, view, DBLP_CORE)
+        assert (None if rw is None else (rw.lower, rw.upper)) == want
+
+    @pytest.mark.parametrize("spec", [prov_spec(), dblp_spec()], ids=lambda s: s.name)
+    def test_q1_over_anchor_connector(self, spec):
+        """The Table IV Q1 keeps its ``*1..5`` rewriting: its interior
+        and edge types are implied by the schema."""
+        rw = rewrite_with_connector(q1_pattern(spec), spec.view, spec.schema)
+        assert rw is not None and (rw.lower, rw.upper) == (1, 5)
+
+    def test_builds_no_inference_engine(self, blast, monkeypatch):
+        """Rewriting is hop arithmetic on the schema matrix: no Prolog
+        engine is built per (query, view) pair."""
+        def refuse(*_a, **_k):
+            raise AssertionError("inference engine built while rewriting")
+
+        monkeypatch.setattr(Engine, "__init__", refuse)
+        assert rewrite_with_connector(blast, JJ2, PROVENANCE_CORE) is not None
+        assert feasible_hop_counts(blast, PROVENANCE_CORE, "q_j1", "q_j2")
 
 
 UP2 = ConnectorCandidate("a", "b", "Vertex", "Vertex", 2, "upto_khop")
