@@ -12,8 +12,12 @@ from pyspark.sql import SparkSession
 
 
 def session(app: str) -> SparkSession:
+    # pyspark hands builder conf to spark-submit when it launches the JVM,
+    # so the driver heap set here takes effect. 4g is what the bench-profile
+    # Fig. 7 job needs: it runs out of heap at pyspark's default 1g.
     return (
         SparkSession.builder.appName(app)
+        .config("spark.driver.memory", "4g")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .getOrCreate()

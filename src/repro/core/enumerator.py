@@ -72,30 +72,33 @@ class SummarizerCandidate:
 
 
 def path_vertex_types(
-    schema: GraphSchema, src_type: str, dst_type: str, max_k: int
+    schema: GraphSchema, src_type: str | None, dst_type: str | None,
+    max_k: int, etype: str | None = None,
 ) -> set[str]:
     """Vertex types that can appear on *some* schema walk
-    ``src_type → … → dst_type`` of length ≤ ``max_k``.
+    ``src_type → … → dst_type`` of length ≤ ``max_k`` over ``etype``
+    edges (any edge type when ``None``); a ``None`` endpoint is any type.
 
-    Used to make vertex-inclusion summarizers sound in the presence of
-    *untyped* variable-length paths in the query: every type that could
-    occur on a matching data path must be kept. Computed as a
-    forward-level × backward-level intersection over the schema graph.
+    Used to make summarizers sound: every type that could occur on a
+    matching data path must be kept. A type counts when walks reach it
+    from the source in i steps and reach the destination from it in j
+    steps, with i + j ≤ ``max_k``.
     """
-    fwd: list[set[str]] = [{src_type}]
-    for _ in range(max_k):
-        fwd.append({t for f in fwd[-1] for t in schema.out_types(f)})
-    inc = {e.src_type: set() for e in schema.edges}
-    for e in schema.edges:
-        inc.setdefault(e.dst_type, set()).add(e.src_type)
-    bwd: list[set[str]] = [{dst_type}]
-    for _ in range(max_k):
-        bwd.append({t for b in bwd[-1] for t in inc.get(b, ())})
-    out: set[str] = set()
-    for k in range(max_k + 1):
-        for i in range(k + 1):
-            out |= fwd[i] & bwd[k - i]
-    return out
+    every = set(schema.vertex_types)
+
+    def hops(starts: set[str], ends: set[str]) -> int:
+        """Fewest steps from ``starts`` to ``ends``; ``max_k + 1`` if none
+        within ``max_k``."""
+        counts = dict.fromkeys(starts, 1)
+        for n in range(max_k + 1):
+            if ends & counts.keys():
+                return n
+            counts = schema.step(counts, etype)
+        return max_k + 1
+
+    starts = every if src_type is None else {src_type}
+    ends = every if dst_type is None else {dst_type}
+    return {t for t in every if hops(starts, {t}) + hops({t}, ends) <= max_k}
 
 
 class ViewEnumerator:
@@ -158,37 +161,30 @@ class ViewEnumerator:
     # -- summarizer templates -------------------------------------------
 
     def summarizers(self, pattern: QueryPattern) -> list[SummarizerCandidate]:
-        """Summarizer candidates: the sound vertex-inclusion summarizer
-        (query types closed over untyped variable-length paths), plus
-        removal candidates straight from the templates."""
+        """Summarizer candidates from the templates, closed over the
+        pattern's elements so that they are sound: every vertex type and
+        edge type on a schema walk some element can match is kept."""
         eng = self.engine_for(pattern)
         T = Var("T")
         keep = {r["T"] for r in eng.query(s("summarizerVertexInclusion", T))}
-        # Close over untyped variable-length paths: any type reachable on
-        # a schema walk between the endpoint types must be kept.
-        for p in pattern.paths:
-            if p.etype is None:
-                st, dt = pattern.vtype(p.src), pattern.vtype(p.dst)
-                if st and dt:
-                    keep |= path_vertex_types(self.schema, st, dt, p.upper)
+        used: set[str] = set()
+        for el in (*pattern.edges, *pattern.paths):
+            on = path_vertex_types(
+                self.schema, pattern.vtype(el.src), pattern.vtype(el.dst),
+                el.upper, el.etype,
+            )
+            keep |= on
+            used |= {
+                e.etype for e in self.schema.edges
+                if el.etype in (None, e.etype)
+                and e.src_type in on and e.dst_type in on
+            }
         out = [SummarizerCandidate("vertex_inclusion", frozenset(keep))]
         drop_v = {r["T"] for r in eng.query(s("summarizerVertexRemoval", T))}
         drop_v -= keep  # soundness: closure wins over the raw template
         if drop_v:
             out.append(SummarizerCandidate("vertex_removal", frozenset(drop_v)))
-        drop_e = {r["T"] for r in eng.query(s("summarizerEdgeRemoval", T))}
-        # An edge type is only removable if the query has no untyped
-        # edges/paths that could traverse it between kept types.
-        kept_edge_types = {
-            e.etype
-            for e in self.schema.edges
-            if e.src_type in keep and e.dst_type in keep
-        }
-        untyped = any(p.etype is None for p in pattern.paths) or any(
-            e.etype is None for e in pattern.edges
-        )
-        if untyped:
-            drop_e -= kept_edge_types
+        drop_e = {r["T"] for r in eng.query(s("summarizerEdgeRemoval", T))} - used
         if drop_e:
             out.append(SummarizerCandidate("edge_removal", frozenset(drop_e)))
         return out
@@ -205,31 +201,11 @@ class ViewEnumerator:
 
 
 def schema_walk_counts(schema: GraphSchema, k: int) -> dict[tuple[str, str], int]:
-    """Number of k-step schema walks per ``(src_type, dst_type)``: the
-    k-th power of the typed adjacency matrix, with multi-edges counted
-    (M parallel schema edges multiply walks)."""
-    types = list(schema.vertex_types)
-    idx = {t: i for i, t in enumerate(types)}
-    n = len(types)
-    adj = [[0] * n for _ in range(n)]
-    for e in schema.edges:
-        adj[idx[e.src_type]][idx[e.dst_type]] += 1
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][x] * b[x][j] for x in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = adj
-    kk = k
-    while kk:
-        if kk & 1:
-            power = matmul(power, base)
-        base = matmul(base, base)
-        kk >>= 1
-    return {(a, b): power[idx[a]][idx[b]] for a in types for b in types}
+    """Number of k-step schema walks per ``(src_type, dst_type)``, with
+    multi-edges counted (M parallel schema edges multiply walks)."""
+    types = schema.vertex_types
+    walks = {a: schema.walks(a, k) for a in types}
+    return {(a, b): walks[a].get(b, 0) for a in types for b in types}
 
 
 def unconstrained_schema_walk_count(schema: GraphSchema, k: int) -> int:

@@ -30,6 +30,13 @@ class PatternEdge:
     dst: str
     etype: str | None = None
 
+    @property
+    def lower(self) -> int:
+        """A fixed edge is a path of exactly one hop: ``lower == upper == 1``."""
+        return 1
+
+    upper = lower
+
 
 @dataclass(frozen=True)
 class VarLengthPath:
@@ -76,15 +83,6 @@ class QueryPattern:
 
     def vtype(self, name: str) -> str | None:
         return self.vertex(name).vtype
-
-    def adjacency(self) -> dict[str, list[str]]:
-        """Successor map over fixed edges *and* variable-length paths."""
-        adj: dict[str, list[str]] = {v.name: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.src].append(e.dst)
-        for p in self.paths:
-            adj[p.src].append(p.dst)
-        return adj
 
 
 _NODE = re.compile(r"\(\s*([A-Za-z_]\w*)\s*(?::\s*([A-Za-z_]\w*))?\s*\)")

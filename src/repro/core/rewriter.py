@@ -8,8 +8,9 @@ variable-length path over connector edges.
 The decision needs hop arithmetic only, not the § IV inference engine
 (which enumerates the views): the pattern's chain gives the hop counts,
 every ``K`` in ``[Σ lower, Σ upper]`` but 0 (``queryKHopPath``), and
-the schema adjacency matrix ``M`` keeps the feasible ones,
-``(M^K)[st, dt] > 0`` (``schemaKHopPath``). A connector view admits an
+the schema keeps the feasible ones, where the number of K-step schema
+walks ``(M^K)[st, dt]`` (``GraphSchema.walks``; ``M`` is the schema
+adjacency matrix) is > 0 (``schemaKHopPath``). A connector view admits an
 *equivalence-preserving* single-view rewriting iff (Lst. 1 → Lst. 4 in
 the paper):
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .enumerator import ConnectorCandidate, schema_walk_counts
+from .enumerator import ConnectorCandidate
 from .pattern import PatternEdge, QueryPattern, VarLengthPath
 from .schema import GraphSchema
 
@@ -84,16 +85,9 @@ def _chain(
     return chain
 
 
-def _lengths(el: PatternEdge | VarLengthPath) -> range:
-    """The hop lengths one chain element can take."""
-    if isinstance(el, VarLengthPath):
-        return range(el.lower, el.upper + 1)
-    return range(1, 2)
-
-
 def _walks(schema: GraphSchema, st: str, dt: str, K: int) -> int:
     """``(M^K)[st, dt]``: the number of K-step schema walks st ⇝ dt."""
-    return schema_walk_counts(schema, K).get((st, dt), 0)
+    return schema.walks(st, K).get(dt, 0)
 
 
 def feasible_hop_counts(
@@ -108,8 +102,8 @@ def feasible_hop_counts(
     if chain is None:
         return []
     st, dt = pattern.vtype(src_var), pattern.vtype(dst_var)
-    lo = sum(_lengths(el)[0] for el in chain)
-    hi = sum(_lengths(el)[-1] for el in chain)
+    lo = sum(el.lower for el in chain)
+    hi = sum(el.upper for el in chain)
     return [
         K for K in range(max(lo, 1), hi + 1)
         if st is None or dt is None or _walks(schema, st, dt, K) > 0
@@ -124,15 +118,11 @@ def _constraints_implied(
     (each element on its edge type, each vertex on its declared type)
     are all ``(M^K)[st, dt]`` of them."""
     st, dt = pattern.vtype(chain[0].src), pattern.vtype(chain[-1].dst)
-    for split in itertools.product(*map(_lengths, chain)):
+    for split in itertools.product(*(range(el.lower, el.upper + 1) for el in chain)):
         counts = {st: 1}
         for el, n in zip(chain, split):
             for _ in range(n):
-                step: dict[str, int] = {}
-                for e in schema.edges:
-                    if e.src_type in counts and el.etype in (None, e.etype):
-                        step[e.dst_type] = step.get(e.dst_type, 0) + counts[e.src_type]
-                counts = step
+                counts = schema.step(counts, el.etype)
             t = pattern.vtype(el.dst)
             if t is not None:
                 counts = {t: counts.get(t, 0)}
@@ -159,9 +149,9 @@ def _connector_hops(
         return None  # gapped ranges are inexpressible as *lo..hi
     if hops[-1] > 1 and not view.same_vertex_type:
         return None  # src_type → dst_type edges do not chain
-    loop = (view.src_type, view.src_type)
-    step = schema_walk_counts(schema, k)[loop]
-    if any(step**m != schema_walk_counts(schema, m * k)[loop] for m in hops if m > 1):
+    src = view.src_type
+    step = _walks(schema, src, src, k)
+    if any(step**m != _walks(schema, src, src, m * k) for m in hops if m > 1):
         return None  # some walk is off src_type after a multiple of k edges
     return hops[0], hops[-1]
 
@@ -187,7 +177,7 @@ def rewrite_with_connector(
             break
     else:
         return None
-    if sum(_lengths(el)[0] for el in chain) == 0:
+    if sum(el.lower for el in chain) == 0:
         return None  # a zero-length walk pairs a vertex with itself
     ks = feasible_hop_counts(pattern, schema, src, dst)
     bounds = _connector_hops(ks, view, schema) if ks else None

@@ -358,10 +358,11 @@ def build_engine(
     eng.add_facts(schema_facts(schema))
     if pattern is not None:
         eng.add_facts(query_facts(pattern))
-    # No query, or a pattern with no edges or no var-length paths: make
-    # the query predicates exist (empty) so rules fail instead of raising
-    # "unknown predicate".
+    # No query, a pattern with no edges or no var-length paths, or a
+    # schema with no edges: make the fact predicates exist (empty) so
+    # rules fail instead of raising "unknown predicate".
     for name, arity in [
+        ("schemaEdge", 3),
         ("queryVertex", 1),
         ("queryVertexType", 2),
         ("queryEdge", 2),

@@ -48,6 +48,24 @@ class GraphSchema:
         """Vertex types reachable from ``vtype`` in one hop."""
         return {e.dst_type for e in self.edges if e.src_type == vtype}
 
+    def step(self, counts: dict[str, int], etype: str | None = None) -> dict[str, int]:
+        """Extend walk counts per end type by one schema edge, of type
+        ``etype`` when given. Parallel schema edges count apart, and only
+        end types with a positive count appear in the result."""
+        out: dict[str, int] = {}
+        for e in self.edges:
+            if counts.get(e.src_type) and etype in (None, e.etype):
+                out[e.dst_type] = out.get(e.dst_type, 0) + counts[e.src_type]
+        return out
+
+    def walks(self, src_type: str, k: int, etype: str | None = None) -> dict[str, int]:
+        """Number of k-step schema walks from ``src_type`` per end type
+        (over ``etype`` edges only when given): ``step`` applied k times."""
+        counts = {src_type: 1}
+        for _ in range(k):
+            counts = self.step(counts, etype)
+        return counts
+
     def khop_type_paths(self, src_type: str, dst_type: str, k: int) -> bool:
         """True iff a k-hop *walk* ``src_type → … → dst_type`` is feasible
         over the schema graph. Python twin of the ``schemaKHopPath``

@@ -13,6 +13,7 @@ from repro.core import (
     PROVENANCE_CORE,
     PROVENANCE_FULL,
     ConnectorCandidate,
+    GraphSchema,
     ViewEnumerator,
     parse_match,
     path_vertex_types,
@@ -165,6 +166,31 @@ class TestSummarizerEnumeration:
         kinds = {c.kind for c in enum.summarizers(q)}
         assert "vertex_removal" not in kinds
 
+    @pytest.mark.parametrize(
+        "schema, match, vtypes, etypes",
+        [
+            # Untyped endpoint: files and users reach a job within 3 hops.
+            (PROVENANCE_FULL, "MATCH (a)-[*1..3]->(b:Job)",
+             {"Job", "File", "User"}, {"WRITES_TO", "IS_READ_BY", "SUBMITS"}),
+            # Untyped fixed edge into a job.
+            (PROVENANCE_FULL, "MATCH (a)-[]->(b:Job)",
+             {"Job", "File", "User"}, {"IS_READ_BY", "SUBMITS"}),
+            # Typed path whose every match passes through B over T.
+            (GraphSchema.of(["A", "B", "C"],
+                            [("A", "B", "T"), ("B", "A", "T"), ("A", "C", "U")]),
+             "MATCH (a:A)-[:T*2..2]->(c:A)", {"A", "B"}, {"T"}),
+            # Typed path on a homogeneous schema.
+            (HOMOGENEOUS, "MATCH (a:Vertex)-[r:LINK*1..3]->(b:Vertex)",
+             {"Vertex"}, {"LINK"}),
+        ],
+    )
+    def test_closure_keeps_types_on_matching_walks(self, schema, match, vtypes, etypes):
+        summ = ViewEnumerator(schema).summarizers(parse_match(match + " RETURN a"))
+        kept = {c.kind: c.types for c in summ}
+        assert vtypes <= kept["vertex_inclusion"]
+        assert not vtypes & kept.get("vertex_removal", set())
+        assert not etypes & kept.get("edge_removal", set())
+
 
 class TestPathVertexTypes:
     def test_file_to_file_closure(self):
@@ -183,3 +209,16 @@ class TestPathVertexTypes:
     def test_task_paths_include_tasks_only(self):
         out = path_vertex_types(PROVENANCE_FULL, "Task", "Task", 3)
         assert out == {"Task"}
+
+    def test_edge_type_and_any_endpoint(self):
+        # Over WRITES_TO only, a file is one hop from a job; with any
+        # source type, users reach a job over SUBMITS.
+        assert path_vertex_types(PROVENANCE_FULL, "Job", None, 3, "WRITES_TO") == {
+            "Job",
+            "File",
+        }
+        assert path_vertex_types(PROVENANCE_FULL, None, "Job", 1) == {
+            "Job",
+            "File",
+            "User",
+        }

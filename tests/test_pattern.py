@@ -112,13 +112,10 @@ class TestQueryPatternValidation:
                 returns=(("ghost", "G"),),
             )
 
-    def test_adjacency_includes_paths(self):
+    def test_fixed_edge_is_one_hop_path(self):
         p = parse_match(BLAST_RADIUS_MATCH)
-        adj = p.adjacency()
-        assert adj["q_j1"] == ["q_f1"]
-        assert adj["q_f1"] == ["q_f2"]
-        assert adj["q_f2"] == ["q_j2"]
-        assert adj["q_j2"] == []
+        assert [(e.lower, e.upper) for e in p.edges] == [(1, 1), (1, 1)]
+        assert [(q.lower, q.upper) for q in p.paths] == [(0, 8)]
 
     def test_vertex_lookup_missing(self):
         p = parse_match("MATCH (a:Job) RETURN a")
