@@ -12,7 +12,6 @@ from .schema import (
 )
 from .pattern import (
     BLAST_RADIUS_MATCH,
-    PatternEdge,
     PatternParseError,
     PatternVertex,
     QueryPattern,
@@ -39,7 +38,6 @@ __all__ = [
     "HOMOGENEOUS",
     "QueryPattern",
     "PatternVertex",
-    "PatternEdge",
     "VarLengthPath",
     "parse_match",
     "PatternParseError",

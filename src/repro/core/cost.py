@@ -24,7 +24,7 @@ from .schema import GraphSchema
 
 def pattern_max_hops(pattern: QueryPattern) -> int:
     """Upper bound on the end-to-end traversal length of a pattern."""
-    return sum(el.upper for el in (*pattern.edges, *pattern.paths))
+    return sum(p.upper for p in pattern.paths)
 
 
 @dataclass(frozen=True)

@@ -162,13 +162,16 @@ class ViewEnumerator:
 
     def summarizers(self, pattern: QueryPattern) -> list[SummarizerCandidate]:
         """Summarizer candidates from the templates, closed over the
-        pattern's elements so that they are sound: every vertex type and
-        edge type on a schema walk some element can match is kept."""
+        pattern so that they are sound: every vertex type and edge type on
+        a schema walk some element can match is kept, and so is the type
+        of a vertex on no element (every type when it is untyped)."""
         eng = self.engine_for(pattern)
         T = Var("T")
         keep = {r["T"] for r in eng.query(s("summarizerVertexInclusion", T))}
+        alone = {v.name for v in pattern.vertices}
         used: set[str] = set()
-        for el in (*pattern.edges, *pattern.paths):
+        for el in pattern.paths:
+            alone -= {el.src, el.dst}
             on = path_vertex_types(
                 self.schema, pattern.vtype(el.src), pattern.vtype(el.dst),
                 el.upper, el.etype,
@@ -179,6 +182,9 @@ class ViewEnumerator:
                 if el.etype in (None, e.etype)
                 and e.src_type in on and e.dst_type in on
             }
+        for name in alone:
+            vtype = pattern.vtype(name)
+            keep |= set(self.schema.vertex_types) if vtype is None else {vtype}
         out = [SummarizerCandidate("vertex_inclusion", frozenset(keep))]
         drop_v = {r["T"] for r in eng.query(s("summarizerVertexRemoval", T))}
         drop_v -= keep  # soundness: closure wins over the raw template

@@ -21,18 +21,22 @@ from .schema import GraphSchema
 
 
 def query_facts(pattern: QueryPattern) -> list[Struct]:
-    """Explicit facts mined from the query's MATCH clause (§ IV-A1)."""
+    """Explicit facts mined from the query's MATCH clause (§ IV-A1). A
+    ``1..1`` path is the fixed edge ``-[:T]->`` and gives ``queryEdge``
+    (plus ``queryEdgeType`` when typed); any other path gives
+    ``queryVariableLengthPath``."""
     facts: list[Struct] = []
     for v in pattern.vertices:
         facts.append(s("queryVertex", v.name))
         if v.vtype is not None:
             facts.append(s("queryVertexType", v.name, v.vtype))
-    for e in pattern.edges:
-        facts.append(s("queryEdge", e.src, e.dst))
-        if e.etype is not None:
-            facts.append(s("queryEdgeType", e.src, e.dst, e.etype))
     for p in pattern.paths:
-        facts.append(s("queryVariableLengthPath", p.src, p.dst, p.lower, p.upper))
+        if (p.lower, p.upper) == (1, 1):  # a fixed edge
+            facts.append(s("queryEdge", p.src, p.dst))
+            if p.etype is not None:
+                facts.append(s("queryEdgeType", p.src, p.dst, p.etype))
+        else:
+            facts.append(s("queryVariableLengthPath", p.src, p.dst, p.lower, p.upper))
     for var, _alias in pattern.returns:
         facts.append(s("queryReturned", var))
     return facts

@@ -7,11 +7,15 @@ typed: ``-[r:LINK*0..8]->``), comma-separated pattern chains, and a
 ``RETURN a AS X, b AS Y`` projection. The relational part of a hybrid
 query (filters/aggregates) is plain SQL executed by Spark over the
 match result (see ``repro.engine.hybrid``).
+
+The IR has one element kind: a fixed edge ``-[:T]->`` matches exactly
+what the one-hop path ``-[:T*1..1]->`` matches, so the parser emits it
+as that :class:`VarLengthPath`.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -23,24 +27,10 @@ class PatternVertex:
 
 
 @dataclass(frozen=True)
-class PatternEdge:
-    """A fixed single-hop query edge, optionally constrained to a type."""
-
-    src: str
-    dst: str
-    etype: str | None = None
-
-    @property
-    def lower(self) -> int:
-        """A fixed edge is a path of exactly one hop: ``lower == upper == 1``."""
-        return 1
-
-    upper = lower
-
-
-@dataclass(frozen=True)
 class VarLengthPath:
-    """A variable-length path ``src -[etype*lower..upper]-> dst``."""
+    """A pattern element: a path ``src -[etype*lower..upper]-> dst``,
+    optionally constrained to an edge type. A fixed edge is the
+    ``1..1`` path."""
 
     src: str
     dst: str
@@ -55,19 +45,16 @@ class VarLengthPath:
 
 @dataclass(frozen=True)
 class QueryPattern:
-    """A parsed MATCH clause: vertices, fixed edges, variable paths, and
-    the projected vertex variables (with output aliases)."""
+    """A parsed MATCH clause: vertices, the paths between them (fixed
+    edges included, in textual order), and the projected vertex
+    variables (with output aliases)."""
 
     vertices: tuple[PatternVertex, ...]
-    edges: tuple[PatternEdge, ...] = ()
     paths: tuple[VarLengthPath, ...] = ()
     returns: tuple[tuple[str, str], ...] = ()  # (var, alias)
 
     def __post_init__(self) -> None:
         names = {v.name for v in self.vertices}
-        for e in self.edges:
-            if e.src not in names or e.dst not in names:
-                raise ValueError(f"edge {e} references unknown vertex")
         for p in self.paths:
             if p.src not in names or p.dst not in names:
                 raise ValueError(f"path {p} references unknown vertex")
@@ -113,7 +100,6 @@ def parse_match(text: str) -> QueryPattern:
     body, ret = m.group(1), m.group(2)
 
     vertices: dict[str, str | None] = {}
-    edges: list[PatternEdge] = []
     paths: list[VarLengthPath] = []
 
     pos, last_node, expect_node = 0, None, True
@@ -141,12 +127,9 @@ def parse_match(text: str) -> QueryPattern:
             else:
                 vertices[name] = vtype
             if last_node is not None:
-                src, dst, etype, lo, hi = last_node
-                if lo is None:
-                    edges.append(PatternEdge(src, name, etype))
-                else:
-                    paths.append(VarLengthPath(src, name, lo, hi, etype))
-            last_node = (name, None, None, None, None)
+                src, etype, lo, hi = last_node
+                paths.append(VarLengthPath(src, name, lo, hi, etype))
+            last_node = (name, None, 1, 1)
             pos += nm.end()
             expect_node = False
             continue
@@ -154,14 +137,7 @@ def parse_match(text: str) -> QueryPattern:
         if not em:
             raise PatternParseError(f"expected edge at: {chunk[:40]!r}")
         etype, lo, hi = em.group(1), em.group(2), em.group(3)
-        src = last_node[0]
-        last_node = (
-            src,
-            None,
-            etype,
-            int(lo) if lo is not None else None,
-            int(hi) if hi is not None else None,
-        )
+        last_node = (last_node[0], etype, int(lo or 1), int(hi or 1))
         pos += em.end()
         expect_node = True
 
@@ -179,7 +155,6 @@ def parse_match(text: str) -> QueryPattern:
 
     return QueryPattern(
         vertices=tuple(PatternVertex(n, t) for n, t in vertices.items()),
-        edges=tuple(edges),
         paths=tuple(paths),
         returns=tuple(returns),
     )

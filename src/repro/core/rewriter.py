@@ -50,7 +50,7 @@ import itertools
 from dataclasses import dataclass
 
 from .enumerator import ConnectorCandidate
-from .pattern import PatternEdge, QueryPattern, VarLengthPath
+from .pattern import QueryPattern, VarLengthPath
 from .schema import GraphSchema
 
 
@@ -67,12 +67,12 @@ class Rewriting:
 
 def _chain(
     pattern: QueryPattern, src: str, dst: str
-) -> list[PatternEdge | VarLengthPath] | None:
+) -> list[VarLengthPath] | None:
     """The pattern's elements from ``src`` to ``dst``, following the one
     element that leaves each vertex on the way; ``None`` if a vertex on
     the way has none or several, or the walk comes back to a vertex."""
     leaving: dict[str, list] = {}
-    for el in (*pattern.edges, *pattern.paths):
+    for el in pattern.paths:
         leaving.setdefault(el.src, []).append(el)
     chain, at, seen = [], src, {src}
     while at != dst:
@@ -164,14 +164,13 @@ def rewrite_with_connector(
     projected = [var for var, _ in pattern.returns]
     if len(projected) != 2 or projected[0] == projected[1]:
         return None
-    elements = [*pattern.edges, *pattern.paths]
     names = {v.name for v in pattern.vertices}
     types = (view.src_type, view.dst_type)
     for src, dst in (projected, projected[::-1]):
         if (pattern.vtype(src), pattern.vtype(dst)) != types:
             continue
         chain = _chain(pattern, src, dst)
-        if chain is not None and len(chain) == len(elements) and names == {
+        if chain is not None and len(chain) == len(pattern.paths) and names == {
             src, *(el.dst for el in chain)
         }:
             break

@@ -4,44 +4,43 @@
 This is the graph-pattern-matching half of Kaskade's execution engine
 (Neo4j in the paper). Matching proceeds by building a *binding table*
 — one column per pattern vertex, one row per match — joined element by
-element. Variable-length paths use reachability semantics (distinct
-endpoint pairs; see ``repro.engine.traversal``).
+element. Every element, a fixed edge included (the ``1..1`` path), is
+matched by the path-expansion kernel with reachability semantics
+(distinct endpoint pairs; see ``repro.engine.traversal``).
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.pattern import PatternEdge, QueryPattern, VarLengthPath
+from ..core.pattern import QueryPattern, VarLengthPath
 from .property_graph import PropertyGraph
-from .traversal import restrict_endpoints, var_length_pairs
+from .traversal import var_length_pairs
 
 
-def _element_pairs(graph: PropertyGraph, pattern: QueryPattern, el) -> DataFrame:
-    """The (src, dst) pair table matched by one pattern element. A path's
-    endpoint types go into the expansion: the source type filters its
-    first hop and the destination type the pairs it emits."""
+def _element_pairs(
+    graph: PropertyGraph, pattern: QueryPattern, el: VarLengthPath
+) -> DataFrame:
+    """The (src, dst) pair table matched by one pattern element (a fixed
+    edge is the ``1..1`` path). Its endpoint types go into the
+    expansion: the source type filters the first hop and the destination
+    type the pairs it emits."""
     st, dt = pattern.vtype(el.src), pattern.vtype(el.dst)
-    if isinstance(el, PatternEdge):
-        pairs = graph.typed_edges(el.etype).select("src", "dst").distinct()
-        return restrict_endpoints(pairs, graph.vertices, st, dt)
-    if isinstance(el, VarLengthPath):
-        return var_length_pairs(
-            graph.typed_edges(el.etype),
-            el.lower,
-            el.upper,
-            zero_vertices=graph.vertices,
-            sources=None if st is None else graph.typed_vertices(st),
-            targets=None if dt is None else graph.typed_vertices(dt),
-        )
-    raise TypeError(f"unknown pattern element {el!r}")  # pragma: no cover
+    return var_length_pairs(
+        graph.typed_edges(el.etype),
+        el.lower,
+        el.upper,
+        zero_vertices=graph.vertices,
+        sources=None if st is None else graph.typed_vertices(st),
+        targets=None if dt is None else graph.typed_vertices(dt),
+    )
 
 
-def _order_elements(pattern: QueryPattern) -> list:
+def _order_elements(pattern: QueryPattern) -> list[VarLengthPath]:
     """Join order: follow the chain from already-bound vertices so every
     join after the first is keyed (no cross joins on connected patterns)."""
-    remaining = list(pattern.edges) + list(pattern.paths)
-    ordered: list = []
+    remaining = list(pattern.paths)
+    ordered: list[VarLengthPath] = []
     bound: set[str] = set()
     while remaining:
         nxt = next(

@@ -63,6 +63,27 @@ class TestExplicitQueryFacts:
         assert s("queryReturned", "q_j2") in facts
 
 
+class TestOneHopPathFacts:
+    """A fixed edge is the ``1..1`` path: that element mines the paper's
+    edge facts, any other bounds a variable-length-path fact."""
+
+    def test_typed_one_hop_path_is_an_edge(self):
+        facts = query_facts(parse_match("MATCH (a:Job)-[:WRITES_TO*1..1]->(b:File)"))
+        assert s("queryEdge", "a", "b") in facts
+        assert s("queryEdgeType", "a", "b", "WRITES_TO") in facts
+        assert not [f for f in facts if f.functor == "queryVariableLengthPath"]
+
+    def test_untyped_fixed_edge_has_no_edge_type(self):
+        facts = query_facts(parse_match("MATCH (a)-[]->(b)"))
+        assert s("queryEdge", "a", "b") in facts
+        assert not [f for f in facts if f.functor == "queryEdgeType"]
+
+    def test_zero_to_eight_is_a_variable_length_path(self):
+        facts = query_facts(parse_match("MATCH (a:File)-[r*0..8]->(b:File)"))
+        assert s("queryVariableLengthPath", "a", "b", 0, 8) in facts
+        assert not [f for f in facts if f.functor in ("queryEdge", "queryEdgeType")]
+
+
 class TestExplicitSchemaFacts:
     def test_provenance_core_facts(self):
         facts = set(schema_facts(PROVENANCE_CORE))

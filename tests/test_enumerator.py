@@ -191,6 +191,25 @@ class TestSummarizerEnumeration:
         assert not vtypes & kept.get("vertex_removal", set())
         assert not etypes & kept.get("edge_removal", set())
 
+    @pytest.mark.parametrize(
+        "match, vtypes",
+        [
+            # An untyped vertex alone matches every vertex.
+            ("MATCH (a) RETURN a", set(PROVENANCE_FULL.vertex_types)),
+            # So does an untyped vertex next to a chain it is not on.
+            ("MATCH (a:Job)-[:WRITES_TO]->(f), (u) RETURN a, u",
+             set(PROVENANCE_FULL.vertex_types)),
+            # A typed one keeps its own type.
+            ("MATCH (a:Job)-[:WRITES_TO]->(f), (u:User) RETURN a, u",
+             {"Job", "File", "User"}),
+        ],
+    )
+    def test_vertex_on_no_element_keeps_its_types(self, match, vtypes):
+        summ = ViewEnumerator(PROVENANCE_FULL).summarizers(parse_match(match))
+        kept = {c.kind: c.types for c in summ}
+        assert vtypes <= kept["vertex_inclusion"]
+        assert not vtypes & kept.get("vertex_removal", set())
+
 
 class TestPathVertexTypes:
     def test_file_to_file_closure(self):

@@ -3,7 +3,6 @@ import pytest
 
 from repro.core import (
     BLAST_RADIUS_MATCH,
-    PatternEdge,
     PatternParseError,
     PatternVertex,
     QueryPattern,
@@ -24,14 +23,29 @@ class TestParser:
 
     def test_blast_radius_edges(self):
         p = parse_match(BLAST_RADIUS_MATCH)
-        assert p.edges == (
-            PatternEdge("q_j1", "q_f1", "WRITES_TO"),
-            PatternEdge("q_f2", "q_j2", "IS_READ_BY"),
-        )
+        assert [q for q in p.paths if (q.lower, q.upper) == (1, 1)] == [
+            VarLengthPath("q_j1", "q_f1", 1, 1, "WRITES_TO"),
+            VarLengthPath("q_f2", "q_j2", 1, 1, "IS_READ_BY"),
+        ]
 
     def test_blast_radius_varlength(self):
         p = parse_match(BLAST_RADIUS_MATCH)
-        assert p.paths == (VarLengthPath("q_f1", "q_f2", 0, 8, None),)
+        assert [q for q in p.paths if (q.lower, q.upper) != (1, 1)] == [
+            VarLengthPath("q_f1", "q_f2", 0, 8, None)
+        ]
+
+    def test_elements_in_textual_order(self):
+        p = parse_match(BLAST_RADIUS_MATCH)
+        assert [(q.src, q.dst) for q in p.paths] == [
+            ("q_j1", "q_f1"), ("q_f1", "q_f2"), ("q_f2", "q_j2"),
+        ]
+
+    @pytest.mark.parametrize("edge", ["-[:T]->", "-[r:T]->", "-[]->"])
+    def test_fixed_edge_parses_as_one_hop_path(self, edge):
+        one_hop = edge.replace("]", "*1..1]")
+        assert parse_match(f"MATCH (a){edge}(b)") == parse_match(
+            f"MATCH (a){one_hop}(b)"
+        )
 
     def test_blast_radius_returns(self):
         p = parse_match(BLAST_RADIUS_MATCH)
@@ -39,7 +53,7 @@ class TestParser:
 
     def test_single_chain(self):
         p = parse_match("MATCH (a:Job)-[:WRITES_TO]->(b:File) RETURN a")
-        assert p.edges == (PatternEdge("a", "b", "WRITES_TO"),)
+        assert p.paths == (VarLengthPath("a", "b", 1, 1, "WRITES_TO"),)
         assert p.returns == (("a", "a"),)
 
     def test_untyped_node(self):
@@ -52,7 +66,7 @@ class TestParser:
 
     def test_untyped_edge(self):
         p = parse_match("MATCH (a)-[]->(b) RETURN a")
-        assert p.edges == (PatternEdge("a", "b", None),)
+        assert p.paths == (VarLengthPath("a", "b", 1, 1, None),)
 
     def test_vertex_type_merging_across_mentions(self):
         p = parse_match("MATCH (a:Job)-[:W]->(f), (f:File)-[:R]->(b:Job) RETURN a, b")
@@ -82,9 +96,9 @@ class TestParser:
         p = parse_match(
             "MATCH (a:Job)-[:W]->(f:File)-[:R]->(b:Job) RETURN a AS S, b AS T"
         )
-        assert p.edges == (
-            PatternEdge("a", "f", "W"),
-            PatternEdge("f", "b", "R"),
+        assert p.paths == (
+            VarLengthPath("a", "f", 1, 1, "W"),
+            VarLengthPath("f", "b", 1, 1, "R"),
         )
         assert p.returns == (("a", "S"), ("b", "T"))
 
@@ -94,7 +108,7 @@ class TestQueryPatternValidation:
         with pytest.raises(ValueError):
             QueryPattern(
                 vertices=(PatternVertex("a", "Job"),),
-                edges=(PatternEdge("a", "ghost", "W"),),
+                paths=(VarLengthPath("a", "ghost", 1, 1, "W"),),
             )
 
     def test_path_bounds_validated(self):
@@ -114,8 +128,7 @@ class TestQueryPatternValidation:
 
     def test_fixed_edge_is_one_hop_path(self):
         p = parse_match(BLAST_RADIUS_MATCH)
-        assert [(e.lower, e.upper) for e in p.edges] == [(1, 1), (1, 1)]
-        assert [(q.lower, q.upper) for q in p.paths] == [(0, 8)]
+        assert [(q.lower, q.upper) for q in p.paths] == [(1, 1), (0, 8), (1, 1)]
 
     def test_vertex_lookup_missing(self):
         p = parse_match("MATCH (a:Job) RETURN a")

@@ -155,11 +155,7 @@ class TestExecutePattern:
     def test_join_order_handles_reversed_element_listing(self, fig3):
         """Pattern whose second textual element connects to the first by
         its *dst*: the executor must still key the join."""
-        from repro.core.pattern import (
-            PatternEdge,
-            PatternVertex,
-            QueryPattern,
-        )
+        from repro.core.pattern import PatternVertex, QueryPattern, VarLengthPath
 
         p = QueryPattern(
             vertices=(
@@ -167,9 +163,9 @@ class TestExecutePattern:
                 PatternVertex("a", "Job"),
                 PatternVertex("b", "Job"),
             ),
-            edges=(
-                PatternEdge("f", "b", "IS_READ_BY"),
-                PatternEdge("a", "f", "WRITES_TO"),
+            paths=(
+                VarLengthPath("f", "b", 1, 1, "IS_READ_BY"),
+                VarLengthPath("a", "f", 1, 1, "WRITES_TO"),
             ),
             returns=(("a", "A"), ("b", "B")),
         )

@@ -58,7 +58,6 @@ class TestRewriteWithConnector:
         assert (rw.lower, rw.upper) == (1, 5)
         (p,) = rw.rewritten.paths
         assert p.etype == "CONN2_Job_Job"
-        assert rw.rewritten.edges == ()
         assert rw.rewritten.returns == (("q_j1", "A"), ("q_j2", "B"))
 
     def test_rewritten_vertex_types(self, blast):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     GraphSchema,
-    PatternEdge,
     PatternVertex,
     QueryPattern,
     SchemaEdge,
@@ -83,19 +82,21 @@ class TestGeneratedSchemaWalks:
 @st.composite
 def single_element_patterns(draw, schema: GraphSchema) -> QueryPattern:
     """``(a)-[el]->(b)`` with each endpoint and the element typed or not;
-    the element is a fixed edge or a path with bounds in 0..4."""
+    the element is a fixed edge (the ``1..1`` path) or a path with bounds
+    in 0..4. Sometimes an isolated vertex ``(c)``, typed or not, rides
+    along."""
     vtype = st.one_of(st.none(), st.sampled_from(schema.vertex_types))
     etype = draw(st.one_of(st.none(), st.sampled_from(ETYPES)))
     if draw(st.booleans()):
-        el = PatternEdge("a", "b", etype)
+        el = VarLengthPath("a", "b", 1, 1, etype)
     else:
         lo = draw(st.integers(0, 4))
         el = VarLengthPath("a", "b", lo, draw(st.integers(lo, 4)), etype)
+    vertices = [PatternVertex("a", draw(vtype)), PatternVertex("b", draw(vtype))]
+    if draw(st.booleans()):
+        vertices.append(PatternVertex("c", draw(vtype)))
     return QueryPattern(
-        vertices=(PatternVertex("a", draw(vtype)), PatternVertex("b", draw(vtype))),
-        edges=(el,) if isinstance(el, PatternEdge) else (),
-        paths=(el,) if isinstance(el, VarLengthPath) else (),
-        returns=(("a", "a"), ("b", "b")),
+        vertices=tuple(vertices), paths=(el,), returns=(("a", "a"), ("b", "b")),
     )
 
 
@@ -104,13 +105,17 @@ class TestGeneratedSummarizerSoundness:
     @given(st.data())
     def test_matching_walks_survive_summarizers(self, data):
         """Every vertex type and edge type on a schema walk the pattern
-        matches is kept by vertex inclusion and by no removal."""
+        matches, and every type an isolated vertex matches, is kept by
+        vertex inclusion and by no removal."""
         schema = data.draw(schemas())
         pattern = data.draw(single_element_patterns(schema))
-        (el,) = (*pattern.edges, *pattern.paths)
+        (el,) = pattern.paths
         st_, dt = pattern.vtype("a"), pattern.vtype("b")
         on_v: set[str] = set()
         on_e: set[str] = set()
+        if len(pattern.vertices) == 3:
+            ct = pattern.vtype("c")
+            on_v |= set(schema.vertex_types) if ct is None else {ct}
         for k in range(el.lower, el.upper + 1):
             for vtypes, etypes in brute_walks(schema, k, el.etype):
                 if st_ in (None, vtypes[0]) and dt in (None, vtypes[-1]):
