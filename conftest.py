@@ -58,9 +58,11 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Size-based broadcast joins are disabled, so every join takes the
+    shuffle path at SF~=0.1 unless it asks otherwise. The path-expansion
+    kernel (``repro.engine.traversal.expand``) does: it broadcasts its
+    adjacency and vertex filters by an explicit hint, which Spark honours
+    under this threshold. The threshold governs every other join.
     """
     s = (
         SparkSession.builder.appName("repro")

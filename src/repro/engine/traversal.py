@@ -32,19 +32,26 @@ How it runs:
   instead of reading it. The new names must differ from the old ones:
   the optimizer drops an alias that keeps the name, and the checkpoint
   would then record its partitioning over attributes it does not output.
-- **One exchange per hop.** The adjacency is partitioned by its source
-  and every frontier by its destination, so the hop join needs no
-  exchange on either side. The joined rows are repartitioned by their
-  new destination, and that single exchange also serves the dedup (or
-  max / sum) that follows, since grouping on (src, dst) is satisfied by
-  a partitioning on dst. All emitted frontiers share that partitioning,
-  so merging a range of hop lengths adds no exchange either. The price
-  is the map-side partial merge, which would need its own exchange on
-  (src, dst) and then another on dst for the next join; on the
-  soc-reach benchmark graph that layout shuffled more bytes, not fewer.
-
-Broadcast joins are disabled by the session, so every join takes the
-shuffle path the layout above is built for.
+- **No exchange per hop.** The adjacency is partitioned by its source
+  ``_m``, and every frontier inherits that partitioning through the
+  ``_m → src`` alias: walks are keyed by where they start. A hop joins
+  the frontier with the broadcast adjacency in place, so it neither
+  moves nor sorts the frontier, and the joined rows keep their source
+  partitioning. The dedup (or max / sum) on (src, dst) that follows is
+  satisfied by it, and so are the union of a range of hop lengths and
+  its merge. The one exchange of a call builds the adjacency. The
+  ``sources``/``through``/``targets`` filters (and
+  :func:`restrict_endpoints`) broadcast their vertex ids, so they are
+  map-side semi-joins too.
+- **Broadcasts are hinted, not chosen by size.** The joins above carry
+  an explicit broadcast hint, which Spark honours even when the session
+  sets ``spark.sql.autoBroadcastJoinThreshold`` to -1; the threshold
+  still governs every other join. The adjacency is distinct edges, a
+  few MB for the largest graph this repository builds.
+- **Hops run while the expansion is built.** Each hop's checkpoint
+  executes its broadcast, so building a multi-hop expansion runs one
+  small broadcast job per hop before any action. Expansion output is
+  partitioned by ``src``.
 """
 from __future__ import annotations
 
@@ -71,8 +78,10 @@ _CARRY = {
 
 
 def _keep(frame: DataFrame, col: str, vertices: DataFrame) -> DataFrame:
-    """Rows of ``frame`` whose ``col`` is the ``id`` of one of ``vertices``."""
-    return frame.join(vertices.select(F.col("id").alias(col)), col, "left_semi")
+    """Rows of ``frame`` whose ``col`` is the ``id`` of one of ``vertices``,
+    kept in place: the vertex ids are broadcast."""
+    ids = F.broadcast(vertices.select(F.col("id").alias(col)))
+    return frame.join(ids, col, "left_semi")
 
 
 def _merged(rows: DataFrame, keys: tuple, carry: str | None, col: str) -> DataFrame:
@@ -84,7 +93,8 @@ def _merged(rows: DataFrame, keys: tuple, carry: str | None, col: str) -> DataFr
 
 def _adjacency(edges: DataFrame, carry: str | None, prop: str) -> DataFrame:
     """(_m, _d[, _p]): distinct edges with the carried value merged over
-    parallel edges, partitioned by source ``_m``."""
+    parallel edges, partitioned by source ``_m``; every frontier keeps
+    that partitioning as ``src``."""
     cols = [F.col("src").alias("_m"), F.col("dst").alias("_d")]
     if carry is not None:
         cols.append(_CARRY[carry].edge(prop).alias("_p"))
@@ -97,9 +107,7 @@ def _hop(frontier: DataFrame, adj: DataFrame, carry: str | None) -> DataFrame:
     cols = [frontier.src, F.col("_d").alias("dst")]
     if carry is not None:
         cols.append(_CARRY[carry].combine(frontier.m, F.col("_p")).alias("m"))
-    stepped = (
-        frontier.join(adj, frontier.dst == adj._m).select(*cols).repartition("dst")
-    )
+    stepped = frontier.join(F.broadcast(adj), frontier.dst == adj._m).select(*cols)
     return _merged(stepped, ("src", "dst"), carry, "m").localCheckpoint(eager=False)
 
 
@@ -122,6 +130,10 @@ def expand(
     with an ``id`` column: walks start at a source, pass only through
     ``through`` vertices, and are emitted only where they end at a target
     (``None`` = no restriction).
+
+    The output is partitioned by ``src``. With ``upper > 1`` every hop is
+    checkpointed as it is built, which runs one small broadcast job per
+    hop before any action.
     """
     if not 1 <= lower <= upper:
         raise ValueError(f"need 1 <= lower <= upper, got [{lower}, {upper}]")
@@ -135,7 +147,7 @@ def expand(
     if sources is not None:
         frontier = _keep(frontier, "src", sources)
     if upper > 1:
-        frontier = frontier.repartition("dst").localCheckpoint(eager=False)
+        frontier = frontier.localCheckpoint(eager=False)
     pieces = []
     for k in range(1, upper + 1):
         if k > 1:
@@ -232,8 +244,8 @@ def restrict_endpoints(
     src_type: str | None = None,
     dst_type: str | None = None,
 ) -> DataFrame:
-    """Filter a pair table to endpoints of the given vertex types. The
-    destination goes first: expansion output is partitioned by it."""
+    """Filter a pair table to endpoints of the given vertex types, as
+    map-side semi-joins with the broadcast vertex ids."""
     out = pairs
     for col, vtype in (("dst", dst_type), ("src", src_type)):
         if vtype is not None:

@@ -235,45 +235,67 @@ class TestEndpointPushdown:
         assert _rows(pushed, "src", "dst", "m") == _rows(after, "src", "dst", "m")
 
 
-def _plan_leaves(plan):
-    """Leaf operators of a physical plan. A cached relation's own plan is
+def _plan_nodes(plan):
+    """Every operator of a physical plan. A cached relation's own plan is
     not a child of its scan, so it does not appear."""
+    yield plan
     kids = plan.children()
-    if kids.isEmpty():
-        yield plan
     for i in range(kids.size()):
-        yield from _plan_leaves(kids.apply(i))
+        yield from _plan_nodes(kids.apply(i))
+
+
+def _kinds(plan):
+    return [node.getClass().getSimpleName() for node in _plan_nodes(plan)]
+
+
+@pytest.fixture
+def static_plans(spark):
+    """Static plans, as the benchmark session runs them: adaptive
+    execution would run each stage while its checkpoint is planned."""
+    adaptive = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    yield
+    spark.conf.set("spark.sql.adaptive.enabled", adaptive)
+
+
+def _recorded_plans(spark, monkeypatch, build):
+    """``build()``'s frame, and the executed plan of every frame it
+    local-checkpoints, in order, followed by its own."""
+    frame_type = type(spark.range(0))
+    plans = []
+    checkpoint = frame_type.localCheckpoint
+
+    def recording(df, *args, **kwargs):
+        plans.append(df._jdf.queryExecution().executedPlan())
+        return checkpoint(df, *args, **kwargs)
+
+    monkeypatch.setattr(frame_type, "localCheckpoint", recording)
+    out = build()
+    plans.append(out._jdf.queryExecution().executedPlan())
+    monkeypatch.undo()
+    return out, plans
 
 
 class TestReadsMaterializedView:
-    def test_multihop_view_scanned_not_rederived(self, spark, fig3, monkeypatch):
+    def test_multihop_view_scanned_not_rederived(
+        self, spark, fig3, monkeypatch, static_plans
+    ):
         """A traversal over a materialized 2-hop connector reads the cached
         view, once. Every plan it executes bottoms out in that cache scan
         or in checkpoints the traversal made itself, never in the
         checkpoints, joins and aggregates that built the view."""
-        # Static plans, as the benchmark session runs them: adaptive
-        # execution would run each stage while its checkpoint is planned.
-        adaptive = spark.conf.get("spark.sql.adaptive.enabled")
-        spark.conf.set("spark.sql.adaptive.enabled", "false")
         view = materialize(khop_connector(fig3, 2, "Job", "Job"))
         try:
             before = spark.sparkContext.emptyRDD().id()
-            frame_type = type(view.edges)
-            plans = []
-            checkpoint = frame_type.localCheckpoint
-
-            def recording(df, *args, **kwargs):
-                plans.append(df._jdf.queryExecution().executedPlan())
-                return checkpoint(df, *args, **kwargs)
-
-            monkeypatch.setattr(frame_type, "localCheckpoint", recording)
-            out = var_length_pairs(view.edges, 1, 3)
-            plans.append(out._jdf.queryExecution().executedPlan())
-            monkeypatch.undo()
+            out, plans = _recorded_plans(
+                spark, monkeypatch, lambda: var_length_pairs(view.edges, 1, 3)
+            )
 
             cache_scans, foreign = 0, []
             for plan in plans:
-                for leaf in _plan_leaves(plan):
+                for leaf in _plan_nodes(plan):
+                    if not leaf.children().isEmpty():
+                        continue
                     kind = leaf.getClass().getSimpleName()
                     if kind == "InMemoryTableScanExec":
                         cache_scans += 1
@@ -289,8 +311,64 @@ class TestReadsMaterializedView:
                 out, var_length_sql(1, 3), edges=view.edges.toPandas()
             )
         finally:
-            spark.conf.set("spark.sql.adaptive.enabled", adaptive)
             view.unpersist()
+
+
+def _filtered_sql(upper: int) -> str:
+    """Oracle for the filtered expansion in :class:`TestHopPlanShape`:
+    walks of 1..upper edges from 0 or 1, continuing only from vertices
+    other than 2, that end at 0 or 4."""
+    return f"""
+    WITH RECURSIVE walk(src, dst, k) AS (
+        SELECT src, dst, 1 FROM edges WHERE src IN (0, 1)
+        UNION ALL
+        SELECT w.src, e.dst, w.k + 1 FROM walk w JOIN edges e ON w.dst = e.src
+        WHERE w.k < {upper} AND w.dst <> 2
+    )
+    SELECT src, dst, MIN(k) AS hops FROM walk WHERE dst IN (0, 4)
+    GROUP BY src, dst
+    """
+
+
+class TestHopPlanShape:
+    """Walks stay partitioned by their source, so no hop moves a row: the
+    adjacency is the one exchange of an expansion, and every hop and
+    filter joins the broadcast side in place, even though the session
+    turns size-based broadcast joins off."""
+
+    @pytest.mark.parametrize("case", ["plain", "max", "filtered"])
+    def test_one_exchange_builds_the_adjacency(
+        self, spark, cyclic, monkeypatch, static_plans, case
+    ):
+        assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
+        ids = lambda *v: cyclic.vertices.where(F.col("id").isin(*v))  # noqa: E731
+        kwargs = {
+            "plain": {},
+            "max": {"carry": "max"},
+            "filtered": {
+                "sources": ids(0, 1),
+                "through": cyclic.vertices.where(F.col("id") != 2),
+                "targets": ids(0, 4),
+            },
+        }[case]
+        out, plans = _recorded_plans(
+            spark, monkeypatch, lambda: expand(cyclic.edges, 1, 4, **kwargs)
+        )
+        adjacency, first, *hops, result = (_kinds(p) for p in plans)
+        assert len(hops) == 3
+        assert adjacency.count("ShuffleExchangeExec") == 1
+        for plan in (first, *hops, result):
+            assert "ShuffleExchangeExec" not in plan
+        for hop in hops:
+            assert "BroadcastHashJoinExec" in hop
+
+        edges = cyclic.edges.toPandas()
+        if case == "plain":
+            assert_equivalent(out.select("src", "dst"), var_length_sql(1, 4), edges=edges)
+        elif case == "max":
+            assert_equivalent(out.select("src", "dst", "m"), max_ts_sql(1, 4), edges=edges)
+        else:
+            assert_equivalent(out, _filtered_sql(4), edges=edges)
 
 
 class TestRestrictEndpoints:
