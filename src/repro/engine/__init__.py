@@ -16,7 +16,6 @@ from .traversal import (
     khop_pairs_with_max,
     khop_walk_count,
     restrict_endpoints,
-    var_length_pairs,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "with_vertex_props",
     "run_hybrid",
     "khop_pairs",
-    "var_length_pairs",
     "khop_walk_count",
     "khop_pairs_with_max",
     "restrict_endpoints",

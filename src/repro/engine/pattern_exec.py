@@ -15,23 +15,21 @@ from pyspark.sql import functions as F
 
 from ..core.pattern import QueryPattern, VarLengthPath
 from .property_graph import PropertyGraph
-from .traversal import var_length_pairs
+from .traversal import expand
 
 
-def _element_pairs(
-    graph: PropertyGraph, pattern: QueryPattern, el: VarLengthPath
+def element_pairs(
+    graph: PropertyGraph, pattern: QueryPattern, el: VarLengthPath, carry: str | None = None
 ) -> DataFrame:
-    """The (src, dst) pair table matched by one pattern element (a fixed
-    edge is the ``1..1`` path). Its endpoint types go into the
-    expansion: the source type filters the first hop and the destination
-    type the pairs it emits."""
+    """The (src, dst[, m]) pairs matched by one pattern element (a fixed
+    edge is the ``1..1`` path), carrying ``carry`` as in ``expand``. The
+    source type's vertices are the walks' sources (all vertices when an
+    untyped element has zero-length walks), the destination type's its
+    targets."""
     st, dt = pattern.vtype(el.src), pattern.vtype(el.dst)
-    return var_length_pairs(
-        graph.typed_edges(el.etype),
-        el.lower,
-        el.upper,
-        zero_vertices=graph.vertices,
-        sources=None if st is None else graph.typed_vertices(st),
+    return expand(
+        graph.typed_edges(el.etype), el.lower, el.upper, carry=carry,
+        sources=None if st is None and el.lower > 0 else graph.typed_vertices(st),
         targets=None if dt is None else graph.typed_vertices(dt),
     )
 
@@ -60,9 +58,11 @@ def execute_pattern(graph: PropertyGraph, pattern: QueryPattern) -> DataFrame:
     bindings: DataFrame | None = None
     bound: set[str] = set()
     for el in _order_elements(pattern):
-        pairs = _element_pairs(graph, pattern, el).select(
-            F.col("src").alias(el.src), F.col("dst").alias(el.dst)
-        )
+        pairs = element_pairs(graph, pattern, el)
+        if el.src == el.dst:  # a cycle binds its one variable once
+            pairs = pairs.where("src = dst").select(F.col("src").alias(el.src))
+        else:
+            pairs = pairs.select(F.col("src").alias(el.src), F.col("dst").alias(el.dst))
         if bindings is None:
             bindings = pairs
         else:

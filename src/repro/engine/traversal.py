@@ -5,14 +5,16 @@ All variable-length path semantics in this engine are *reachability*
 matches (every query groups or sets over the matched endpoints, and
 connector rewritings preserve reachability, not path multiplicity).
 
-:func:`expand` is the kernel. The k-hop and variable-length pairs, the
+:func:`expand` is the kernel. Every pattern element
+(``repro.engine.pattern_exec.element_pairs``), the k-hop pairs, the
 max-``ts`` pairs of Q4, the walk counts of Fig. 5 and every connector in
-``repro.views.connectors`` are thin wrappers over it. It varies in three
-ways only: the value a walk carries (nothing, the max of an edge
-property, or the number of walks), which hop lengths it emits (exactly
-k, or any length in a range), and three vertex filters (``sources``
-filters hop 1, ``through`` the vertices a walk may continue from,
-``targets`` the emitted pairs).
+``repro.views.connectors`` are one call of it. It varies in three ways
+only: the value a walk carries (nothing, the max of an edge property,
+or the number of walks), which hop lengths it emits (a range
+``lower..upper`` that may start at 0, the zero-length walks of the
+sources), and three vertex filters (``sources`` filters hop 1,
+``through`` the vertices a walk may continue from, ``targets`` the
+emitted pairs).
 
 How it runs:
 
@@ -39,7 +41,9 @@ How it runs:
   moves nor sorts the frontier, and the joined rows keep their source
   partitioning. The dedup (or max / sum) on (src, dst) that follows is
   satisfied by it, and so are the union of a range of hop lengths and
-  its merge. The one exchange of a call builds the adjacency. The
+  its merge. The one exchange of a call builds the adjacency; with
+  ``lower = 0`` a second one partitions the zero-length walks (one row
+  per source) by ``src`` before the union. The
   ``sources``/``through``/``targets`` filters (and
   :func:`restrict_endpoints`) broadcast their vertex ids, so they are
   map-side semi-joins too.
@@ -122,7 +126,7 @@ def expand(
     targets: DataFrame | None = None,
 ) -> DataFrame:
     """Distinct pairs ``(src, dst)`` connected by a walk of length in
-    ``[lower, upper]``, with ``hops`` = the shortest such length.
+    ``[lower, upper]``, ``0 <= lower <= upper``.
 
     ``carry="max"`` adds ``m``, the maximum of edge property ``prop`` over
     all edges of all such walks; ``carry="count"`` adds ``m``, the number
@@ -131,13 +135,23 @@ def expand(
     ``through`` vertices, and are emitted only where they end at a target
     (``None`` = no restriction).
 
+    A zero-length walk is ``(v, v)`` for every ``sources`` id that
+    ``targets`` keeps, so ``lower = 0`` needs ``sources``; it carries no
+    edge, so it takes no ``carry``.
+
     The output is partitioned by ``src``. With ``upper > 1`` every hop is
     checkpointed as it is built, which runs one small broadcast job per
     hop before any action.
     """
-    if not 1 <= lower <= upper:
-        raise ValueError(f"need 1 <= lower <= upper, got [{lower}, {upper}]")
-    adj = _adjacency(edges, carry, prop)
+    if not 0 <= lower <= upper:
+        raise ValueError(f"need 0 <= lower <= upper, got [{lower}, {upper}]")
+    pieces = []
+    if lower == 0:
+        if sources is None or carry is not None:
+            raise ValueError("lower=0 needs sources and no carry")
+        ids = sources.select(F.col("id").alias("src"), F.col("id").alias("dst"))
+        pieces.append(ids.repartition("src"))  # keyed by source, as walks are
+    adj = _adjacency(edges, carry, prop)  # lazy: upper = 0 never reads it
     if upper > 1:  # both are read again by every hop
         adj = adj.localCheckpoint(eager=False)
     cols = [F.col("_m").alias("src"), F.col("_d").alias("dst")]
@@ -148,62 +162,26 @@ def expand(
         frontier = _keep(frontier, "src", sources)
     if upper > 1:
         frontier = frontier.localCheckpoint(eager=False)
-    pieces = []
     for k in range(1, upper + 1):
         if k > 1:
             if through is not None:
                 frontier = _keep(frontier, "dst", through)
             frontier = _hop(frontier, adj, carry)
         if k >= lower:
-            pieces.append(frontier.withColumn("hops", F.lit(k)))
+            pieces.append(frontier)
     pairs = reduce(DataFrame.unionByName, pieces)
     if targets is not None:
         pairs = _keep(pairs, "dst", targets)
-    if len(pieces) == 1:
+    if lower == upper > 0:  # one hop length: already distinct
         return pairs
-    aggs = [] if carry is None else [_CARRY[carry].merge("m").alias("m")]
-    return pairs.groupBy("src", "dst").agg(*aggs, F.min("hops").alias("hops"))
+    return _merged(pairs, ("src", "dst"), carry, "m")
 
 
 def khop_pairs(edges: DataFrame, k: int) -> DataFrame:
     """Distinct vertex pairs connected by a walk of *exactly* k edges."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return expand(edges, k, k).select("src", "dst")
-
-
-def var_length_pairs(
-    edges: DataFrame,
-    lower: int,
-    upper: int,
-    zero_vertices: DataFrame | None = None,
-    sources: DataFrame | None = None,
-    targets: DataFrame | None = None,
-) -> DataFrame:
-    """Distinct pairs connected by a walk of length in ``[lower, upper]``.
-
-    ``lower == 0`` adds identity pairs for ``zero_vertices`` (a DataFrame
-    with an ``id`` column — the vertices a zero-length path may anchor).
-    ``sources`` and ``targets`` restrict the endpoints as in
-    :func:`expand`, identity pairs included.
-    """
-    if lower == 0 and zero_vertices is None:
-        raise ValueError("lower=0 requires zero_vertices")
-    pairs = None
-    if upper >= 1:
-        pairs = expand(
-            edges, max(lower, 1), upper, sources=sources, targets=targets
-        ).select("src", "dst")
-    if lower > 0:
-        return pairs
-    ident = zero_vertices.select("id")
-    for ends in (sources, targets):
-        if ends is not None:
-            ident = _keep(ident, "id", ends)
-    ident = ident.select(F.col("id").alias("src"), F.col("id").alias("dst"))
-    if pairs is None:
-        return ident.distinct()
-    return pairs.unionByName(ident).distinct()
+    return expand(edges, k, k)
 
 
 def khop_walk_count(edges: DataFrame, k: int, exclude_loops: bool = True) -> int:
@@ -233,9 +211,7 @@ def khop_pairs_with_max(
     """
     if lower < 1:
         raise ValueError("lower must be >= 1 (zero-length paths carry no edges)")
-    return expand(edges, lower, upper, carry="max", prop=prop).select(
-        "src", "dst", "m"
-    )
+    return expand(edges, lower, upper, carry="max", prop=prop)
 
 
 def restrict_endpoints(

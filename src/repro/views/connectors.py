@@ -13,9 +13,10 @@ path of G between two target vertices. Four specializations (Table I):
 
 Each connector is one call of the path-expansion kernel
 :func:`repro.engine.traversal.expand` carrying the max ``ts``.
-Materialized connector edges carry ``ts`` = max edge-``ts`` along the
-contracted path (max composes across contraction, which is what makes
-the Q4 rewriting equivalent) and ``hops`` = the contracted length.
+A connector is a graph like the one it contracts: its edges are in the
+core edge schema ``(src, dst, etype, ts)``, with ``ts`` = max edge-``ts``
+along the contracted paths (max composes across contraction, which is
+what makes the Q4 rewriting equivalent).
 The connector's vertex set is all vertices of the anchor types (target
 vertices that match no path are kept, isolated — Fig. 3(c) keeps all
 job vertices).
@@ -41,7 +42,6 @@ def _connector(
         "dst",
         F.lit(etype).alias("etype"),
         F.col("m").cast("long").alias("ts"),
-        "hops",
     )
     return PropertyGraph(vertices=vertices, edges=edges, name=f"{graph.name}:{etype}")
 
@@ -85,7 +85,7 @@ def upto_khop_connector(
 ) -> PropertyGraph:
     """Vertex-to-vertex connector for *homogeneous* networks (§ VII-F):
     one edge per vertex pair within ``1..k`` hops, carrying the max
-    edge-``ts`` over all such walks and the minimum hop count.
+    edge-``ts`` over all such walks.
 
     Exact-k contraction is only equivalence-preserving when the schema
     forces all path lengths to be multiples of k (bipartite job↔file).

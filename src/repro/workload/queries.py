@@ -28,9 +28,8 @@ from ..core.enumerator import ConnectorCandidate
 from ..core.pattern import QueryPattern, parse_match
 from ..core.rewriter import rewrite_with_connector
 from ..core.schema import GraphSchema
-from ..engine.pattern_exec import execute_pattern, with_vertex_props
+from ..engine.pattern_exec import element_pairs, execute_pattern, with_vertex_props
 from ..engine.property_graph import PropertyGraph
-from ..engine.traversal import expand
 from ..views.algorithms import label_propagation, largest_community
 from ..views.connectors import khop_connector, materialize, upto_khop_connector
 
@@ -178,15 +177,9 @@ def q3_descendants(
 
 def _max_ts(graph: PropertyGraph, pattern: QueryPattern) -> DataFrame:
     """The max edge ``ts`` over all walks of the pattern's single path,
-    as ``dist`` next to the returned endpoints. The endpoint types go
-    into the expansion: the source type filters the first hop and the
-    destination type the emitted pairs."""
+    as ``dist`` next to the returned endpoints."""
     (path,) = pattern.paths
-    pairs = expand(
-        graph.typed_edges(path.etype), path.lower, path.upper, carry="max",
-        sources=graph.typed_vertices(pattern.vtype(path.src)),
-        targets=graph.typed_vertices(pattern.vtype(path.dst)),
-    )
+    pairs = element_pairs(graph, pattern, path, carry="max")
     end = {path.src: "src", path.dst: "dst"}
     return pairs.select(
         *[F.col(end[var]).alias(alias) for var, alias in pattern.returns],

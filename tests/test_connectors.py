@@ -1,7 +1,7 @@
 """Tests for connector view materialization (Table I / Fig. 3)."""
 import pytest
 
-from repro.engine import khop_pairs_with_max
+from repro.engine import EDGE_SCHEMA, khop_pairs_with_max
 from repro.oracle import assert_equivalent
 from repro.views import (
     khop_connector,
@@ -42,7 +42,6 @@ class TestKhopConnector:
         view = khop_connector(fig3, 2, "Job", "Job")
         row = view.edges.where("src = 1 AND dst = 2").collect()[0]
         assert row["ts"] == 2
-        assert row["hops"] == 2
 
     def test_parallel_paths_contract_to_one_edge(self, fig3):
         # j1 -> f1 -> j2/j3 ... j1->j4 via f2 AND f3 at k=4: one edge.
@@ -86,12 +85,6 @@ class TestUptoKhopConnector:
             edges=edges,
         )
 
-    def test_hops_is_min_distance(self, cyclic):
-        view = upto_khop_connector(cyclic, 3)
-        # 1 -> 4 directly (1 hop) and via 2->3 (3 hops): min wins.
-        row = view.edges.where("src = 1 AND dst = 4").collect()[0]
-        assert row["hops"] == 1
-
     def test_keeps_all_vertices(self, cyclic):
         assert upto_khop_connector(cyclic, 2).vertex_count() == 5
 
@@ -132,7 +125,6 @@ class TestSameEdgeTypeConnector:
         view = same_edge_type_connector(fig3, "WRITES_TO", max_hops=4)
         # WRITES_TO edges never chain (Job->File only): 1-hop pairs only.
         assert view.edge_count() == 4
-        assert view.edges.where("hops > 1").count() == 0
 
     def test_vertices_touched_only(self, fig3):
         view = same_edge_type_connector(fig3, "WRITES_TO", max_hops=2)
@@ -145,9 +137,9 @@ class TestSameEdgeTypeConnector:
 class TestSourceToSinkConnector:
     def test_fig3(self, fig3):
         view = source_to_sink_connector(fig3, max_hops=8)
-        got = {(r["src"], r["dst"], r["hops"]) for r in view.edges.collect()}
+        got = {(r["src"], r["dst"]) for r in view.edges.collect()}
         # source j1 (no in-edges) to sink f4 (no out-edges), 5 hops.
-        assert got == {(1, 14, 5)}
+        assert got == {(1, 14)}
 
     def test_vertices_are_endpoints(self, fig3):
         view = source_to_sink_connector(fig3, max_hops=8)
@@ -157,3 +149,20 @@ class TestSourceToSinkConnector:
     def test_max_hops_bound_respected(self, fig3):
         view = source_to_sink_connector(fig3, max_hops=3)
         assert view.edge_count() == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: khop_connector(g, 2, "Job", "Job"),
+        lambda g: upto_khop_connector(g, 2),
+        lambda g: same_vertex_type_connector(g, "Job", max_hops=6),
+        lambda g: same_edge_type_connector(g, "WRITES_TO", max_hops=2),
+        lambda g: source_to_sink_connector(g, max_hops=8),
+    ],
+    ids=["khop", "upto_khop", "same_vertex_type", "same_edge_type", "source_to_sink"],
+)
+def test_view_edges_are_in_core_schema(fig3, build):
+    """A connector is a graph like the one it contracts (§ VI-A): its
+    edges have exactly the core edge columns."""
+    assert build(fig3).edges.columns == EDGE_SCHEMA.fieldNames()

@@ -6,6 +6,8 @@ from repro.core import BLAST_RADIUS_MATCH, parse_match
 from repro.engine import execute_pattern, run_hybrid, with_vertex_props
 from repro.oracle import assert_equivalent
 
+from .conftest import var_length_sql
+
 # DuckDB oracle for the blast-radius MATCH clause on a job-file graph:
 # (A:Job)-WRITES_TO->(f1:File), f1 -[*0..8]-> (f2:File), (f2)-IS_READ_BY->(B:Job)
 BLAST_MATCH_SQL = """
@@ -171,6 +173,46 @@ class TestExecutePattern:
         )
         got = {(r["A"], r["B"]) for r in execute_pattern(fig3, p).collect()}
         assert got == {(1, 2), (1, 3), (2, 4), (3, 4)}
+
+
+# Patterns with an element whose two ends are one variable, with their
+# oracle over the walks of that element and, on cyclic, the expected ids.
+SELF_LOOP_CASES = {
+    "MATCH (a)-[*1..3]->(a) RETURN a": (
+        f"SELECT DISTINCT src AS a FROM ({var_length_sql(1, 3)}) WHERE src = dst",
+        {(0,), (1,), (2,)},
+    ),
+    "MATCH (a:Vertex)-[*3..3]->(a:Vertex) RETURN a AS v": (
+        f"""SELECT DISTINCT p.src AS v FROM ({var_length_sql(3, 3)}) p
+            JOIN vertices x ON x.id = p.src AND x.vtype = 'Vertex'
+            WHERE p.src = p.dst""",
+        {(0,), (1,), (2,)},
+    ),
+    # The self-loop element is joined second, on its one variable.
+    "MATCH (a)-[]->(b), (b)-[*1..3]->(b) RETURN a, b": (
+        f"""SELECT DISTINCT e.src AS a, e.dst AS b FROM edges e
+            JOIN ({var_length_sql(1, 3)}) p ON p.src = e.dst AND p.dst = e.dst""",
+        {(2, 0), (0, 1), (1, 2)},
+    ),
+}
+
+
+class TestSelfLoopElement:
+    """An element from a variable back to itself keeps the walks that
+    return to their start, bound as one column."""
+
+    @pytest.mark.parametrize("match", SELF_LOOP_CASES)
+    @pytest.mark.parametrize("graph", ["cyclic", "fig3"])
+    def test_matches_oracle(self, request, graph, match):
+        g = request.getfixturevalue(graph)
+        sql, on_cyclic = SELF_LOOP_CASES[match]
+        out = execute_pattern(g, parse_match(match))
+        assert_equivalent(
+            out, sql, vertices=g.vertices.toPandas(), edges=g.edges.toPandas()
+        )
+        # fig3 is acyclic: no walk returns to its start.
+        expected = on_cyclic if graph == "cyclic" else set()
+        assert {tuple(r) for r in out.collect()} == expected
 
 
 class TestWithVertexProps:

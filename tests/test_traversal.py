@@ -11,7 +11,6 @@ from repro.engine import (
     khop_pairs_with_max,
     khop_walk_count,
     restrict_endpoints,
-    var_length_pairs,
 )
 from repro.engine.traversal import expand
 from repro.oracle import assert_equivalent
@@ -84,11 +83,13 @@ class TestKhopPairs:
 
 
 class TestVarLengthPairs:
+    """``expand`` over a range of hop lengths, ``*0..U`` included."""
+
     @pytest.mark.parametrize("lo,hi", [(1, 1), (1, 2), (2, 4), (1, 4)])
     def test_fig3_ranges(self, fig3, fig3_pdf, lo, hi):
         _, edges = fig3_pdf
         assert_equivalent(
-            var_length_pairs(fig3.edges, lo, hi),
+            expand(fig3.edges, lo, hi),
             var_length_sql(lo, hi),
             edges=edges,
         )
@@ -97,30 +98,48 @@ class TestVarLengthPairs:
     def test_cyclic_ranges(self, cyclic, cyclic_pdf, lo, hi):
         _, edges = cyclic_pdf
         assert_equivalent(
-            var_length_pairs(cyclic.edges, lo, hi),
+            expand(cyclic.edges, lo, hi),
             var_length_sql(lo, hi),
             edges=edges,
         )
 
     def test_zero_lower_includes_identity(self, fig3, fig3_pdf):
+        """``sources`` anchors the zero-length walks and starts the others."""
         vertices, edges = fig3_pdf
         files = fig3.typed_vertices("File").select("id")
+        walks = var_length_sql(0, 2, zero_pred="vtype = 'File'")
         assert_equivalent(
-            var_length_pairs(fig3.edges, 0, 2, zero_vertices=files),
-            var_length_sql(0, 2, zero_pred="vtype = 'File'"),
+            expand(fig3.edges, 0, 2, sources=files),
+            f"""SELECT * FROM ({walks})
+                WHERE src IN (SELECT id FROM vertices WHERE vtype = 'File')""",
             edges=edges,
             vertices=vertices,
         )
 
     def test_zero_lower_requires_vertices(self, fig3):
         with pytest.raises(ValueError):
-            var_length_pairs(fig3.edges, 0, 2)
+            expand(fig3.edges, 0, 2)
+
+    def test_zero_lower_rejects_carry(self, fig3):
+        """A zero-length walk has no edge to carry a value from."""
+        for carry in ("max", "count"):
+            with pytest.raises(ValueError):
+                expand(fig3.edges, 0, 2, carry=carry, sources=fig3.vertices)
 
     def test_upper_zero_identity_only(self, fig3):
         files = fig3.typed_vertices("File").select("id")
-        out = var_length_pairs(fig3.edges, 0, 0, zero_vertices=files)
-        got = {(r["src"], r["dst"]) for r in out.collect()}
-        assert got == {(i, i) for i in (11, 12, 13, 14)}
+        out = expand(fig3.edges, 0, 0, sources=files)
+        assert out.columns == ["src", "dst"]
+        assert _rows(out, "src", "dst") == {(i, i) for i in (11, 12, 13, 14)}
+
+    def test_identity_kept_only_at_targets(self, fig3):
+        """A zero-length walk ends where it starts: it is emitted only
+        where its source is a target."""
+        job_and_file = fig3.vertices.where(F.col("id").isin(1, 11))
+        files = fig3.typed_vertices("File")
+        for upper, want in ((0, {(11, 11)}), (1, {(1, 11), (11, 11)})):
+            out = expand(fig3.edges, 0, upper, sources=job_and_file, targets=files)
+            assert _rows(out, "src", "dst") == want
 
 
 class TestWalkCount:
@@ -208,13 +227,11 @@ class TestEndpointPushdown:
     def test_var_length_pairs(self, request, graph, lo, hi, etype, st, dt):
         g = request.getfixturevalue(graph)
         edges = g.typed_edges(etype)
-        pushed = var_length_pairs(
-            edges, lo, hi, zero_vertices=g.vertices,
-            sources=_typed(g, st), targets=_typed(g, dt),
+        pushed = expand(
+            edges, lo, hi, sources=g.typed_vertices(st), targets=_typed(g, dt)
         )
         after = restrict_endpoints(
-            var_length_pairs(edges, lo, hi, zero_vertices=g.vertices),
-            g.vertices, st, dt,
+            expand(edges, lo, hi, sources=g.vertices), g.vertices, st, dt
         )
         got = _rows(pushed, "src", "dst")
         assert got == _rows(after, "src", "dst")
@@ -288,7 +305,7 @@ class TestReadsMaterializedView:
         try:
             before = spark.sparkContext.emptyRDD().id()
             out, plans = _recorded_plans(
-                spark, monkeypatch, lambda: var_length_pairs(view.edges, 1, 3)
+                spark, monkeypatch, lambda: expand(view.edges, 1, 3)
             )
 
             cache_scans, foreign = 0, []
@@ -325,8 +342,7 @@ def _filtered_sql(upper: int) -> str:
         SELECT w.src, e.dst, w.k + 1 FROM walk w JOIN edges e ON w.dst = e.src
         WHERE w.k < {upper} AND w.dst <> 2
     )
-    SELECT src, dst, MIN(k) AS hops FROM walk WHERE dst IN (0, 4)
-    GROUP BY src, dst
+    SELECT DISTINCT src, dst FROM walk WHERE dst IN (0, 4)
     """
 
 
@@ -369,6 +385,24 @@ class TestHopPlanShape:
             assert_equivalent(out.select("src", "dst", "m"), max_ts_sql(1, 4), edges=edges)
         else:
             assert_equivalent(out, _filtered_sql(4), edges=edges)
+
+    def test_zero_length_walks_keyed_by_source(
+        self, spark, cyclic, cyclic_pdf, monkeypatch, static_plans
+    ):
+        """``lower = 0`` adds one exchange, which partitions the zero-length
+        walks (one row per source) by ``src``: the union with the walks of
+        length 1..U and its merge move no walk."""
+        out, plans = _recorded_plans(
+            spark, monkeypatch, lambda: expand(cyclic.edges, 0, 4, sources=cyclic.vertices)
+        )
+        exchanges = [
+            node for node in _plan_nodes(plans[-1])
+            if node.getClass().getSimpleName() == "ShuffleExchangeExec"
+        ]
+        assert len(exchanges) == 1
+        assert "UnionExec" not in _kinds(exchanges[0])
+        vertices, edges = cyclic_pdf
+        assert_equivalent(out, var_length_sql(0, 4), edges=edges, vertices=vertices)
 
 
 class TestRestrictEndpoints:
