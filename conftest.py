@@ -6,10 +6,11 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    limit > half of the host's ``MemTotal``, clamped to 2–8g (the Tier-1
+    verify rule in ROADMAP.md). spark.driver.memory is read at JVM launch,
+    not from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark
+    is imported anywhere — this runs at conftest import, which pytest
+    loads before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -33,8 +34,15 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "meminfo"
+    gib = 2
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(ln.split()[1]) for ln in f if ln.startswith("MemTotal:"))
+        gib = min(8, max(2, kib // (2 << 20)))  # half of MemTotal, in GiB
+    except (OSError, StopIteration, ValueError):
+        pass
+    return f"{gib}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
@@ -66,10 +74,7 @@ def spark() -> SparkSession:
     """
     s = (
         SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..prolog import Engine, Var, s
+from ..prolog import Var, s
 from .pattern import QueryPattern
 from .schema import GraphSchema
 from .rules import build_engine
@@ -108,21 +108,15 @@ class ViewEnumerator:
     def __init__(self, schema: GraphSchema):
         self.schema = schema
 
-    def engine_for(self, pattern: QueryPattern | None) -> Engine:
-        return build_engine(pattern, self.schema)
-
     # -- connector templates -------------------------------------------
 
-    def khop_connectors(
-        self, pattern: QueryPattern, *, projected_only: bool = True
-    ) -> list[ConnectorCandidate]:
-        """Instantiations of ``kHopConnector`` (Listing 3). With
-        ``projected_only`` (the § IV-B prose behaviour) only vertices
-        projected out of the MATCH clause anchor candidates."""
-        eng = self.engine_for(pattern)
+    def khop_connectors(self, pattern: QueryPattern) -> list[ConnectorCandidate]:
+        """Instantiations of ``projectedKHopConnector``: the ``kHopConnector``
+        template (Listing 3) anchored only at vertices projected out of the
+        MATCH clause, as § IV-B's prose enumerates them."""
+        eng = build_engine(pattern, self.schema)
         X, Y, XT, YT, K = (Var(n) for n in ("X", "Y", "XT", "YT", "K"))
-        template = "projectedKHopConnector" if projected_only else "kHopConnector"
-        rows = eng.query(s(template, X, Y, XT, YT, K))
+        rows = eng.query(s("projectedKHopConnector", X, Y, XT, YT, K))
         seen = set()
         out: list[ConnectorCandidate] = []
         for r in rows:
@@ -142,7 +136,7 @@ class ViewEnumerator:
     def source_to_sink_connectors(
         self, pattern: QueryPattern
     ) -> list[SourceToSinkCandidate]:
-        eng = self.engine_for(pattern)
+        eng = build_engine(pattern, self.schema)
         X, Y = Var("X"), Var("Y")
         rows = eng.query(s("sourceToSinkConnector", X, Y))
         seen, out = set(), []
@@ -165,7 +159,7 @@ class ViewEnumerator:
         pattern so that they are sound: every vertex type and edge type on
         a schema walk some element can match is kept, and so is the type
         of a vertex on no element (every type when it is untyped)."""
-        eng = self.engine_for(pattern)
+        eng = build_engine(pattern, self.schema)
         T = Var("T")
         keep = {r["T"] for r in eng.query(s("summarizerVertexInclusion", T))}
         alone = {v.name for v in pattern.vertices}

@@ -347,11 +347,7 @@ def all_rules() -> list[Rule]:
     )
 
 
-def build_engine(
-    pattern: QueryPattern | None,
-    schema: GraphSchema,
-    extra_facts: list[Struct] | None = None,
-) -> Engine:
+def build_engine(pattern: QueryPattern | None, schema: GraphSchema) -> Engine:
     """Assemble an inference engine loaded with the explicit facts of
     ``pattern``/``schema`` plus the full rule library (Fig. 4 pipeline)."""
     eng = Engine()
@@ -372,7 +368,5 @@ def build_engine(
         ("property", 3),
     ]:
         eng._db.setdefault((name, arity), [])
-    if extra_facts:
-        eng.add_facts(extra_facts)
     eng.add_rules(all_rules())
     return eng

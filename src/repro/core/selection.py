@@ -136,10 +136,8 @@ class ViewSelector:
         queries: list[QueryPattern],
         stats: GraphStats,
         budget: float,
-        query_weights: list[float] | None = None,
     ) -> SelectionResult:
         cm = self.cost_model
-        weights = query_weights or [1.0] * len(queries)
         cands = self.candidate_views(queries)
         items: list[KnapsackItem] = []
         per_query: dict[int, dict[int, float]] = {}
@@ -150,7 +148,7 @@ class ViewSelector:
                 one = cm.improvement(stats, q, view)
                 if one > 0:
                     per_query.setdefault(vi, {})[qi] = one
-                imp += weights[qi] * one
+                imp += one
             value = imp / creation if creation > 0 else 0.0
             items.append(
                 KnapsackItem(view=view, weight=cm.view_size(stats, view), value=value)

@@ -21,12 +21,11 @@ def run_hybrid(
     graph: PropertyGraph,
     match: str | QueryPattern,
     sql: str,
-    view_name: str = "match_result",
 ) -> DataFrame:
-    """Execute a hybrid query: graph pattern → ``view_name`` → SQL."""
+    """Execute a hybrid query: graph pattern → ``match_result`` → SQL."""
     pattern = parse_match(match) if isinstance(match, str) else match
     result = execute_pattern(graph, pattern)
     aliases = [alias for _, alias in (pattern.returns or ())] or list(result.columns)
     flat = with_vertex_props(result, graph, aliases)
-    flat.createOrReplaceTempView(view_name)
+    flat.createOrReplaceTempView("match_result")
     return spark.sql(sql)

@@ -9,8 +9,8 @@ connector rewritings preserve reachability, not path multiplicity).
 (``repro.engine.pattern_exec.element_pairs``), the k-hop pairs, the
 max-``ts`` pairs of Q4, the walk counts of Fig. 5 and every connector in
 ``repro.views.connectors`` are one call of it. It varies in three ways
-only: the value a walk carries (nothing, the max of an edge property,
-or the number of walks), which hop lengths it emits (a range
+only: the value a walk carries (nothing, the max edge ``ts``, or the
+number of walks), which hop lengths it emits (a range
 ``lower..upper`` that may start at 0, the zero-length walks of the
 sources), and three vertex filters (``sources`` filters hop 1,
 ``through`` the vertices a walk may continue from, ``targets`` the
@@ -70,14 +70,14 @@ from pyspark.sql import functions as F
 class _Carry(NamedTuple):
     """A value carried along walks."""
 
-    edge: Callable  # edge property name -> one edge's value
+    edge: Callable  # () -> one edge's value (built late: a Column needs a SparkContext)
     combine: Callable  # (walk value, next edge's value) -> extended walk's
     merge: Callable  # aggregate over the walks between one pair
 
 
 _CARRY = {
-    "max": _Carry(F.col, F.greatest, F.max),
-    "count": _Carry(lambda _prop: F.lit(1).cast("long"), operator.mul, F.sum),
+    "max": _Carry(lambda: F.col("ts"), F.greatest, F.max),
+    "count": _Carry(lambda: F.lit(1).cast("long"), operator.mul, F.sum),
 }
 
 
@@ -95,13 +95,13 @@ def _merged(rows: DataFrame, keys: tuple, carry: str | None, col: str) -> DataFr
     return rows.groupBy(*keys).agg(_CARRY[carry].merge(col).alias(col))
 
 
-def _adjacency(edges: DataFrame, carry: str | None, prop: str) -> DataFrame:
+def _adjacency(edges: DataFrame, carry: str | None) -> DataFrame:
     """(_m, _d[, _p]): distinct edges with the carried value merged over
     parallel edges, partitioned by source ``_m``; every frontier keeps
     that partitioning as ``src``."""
     cols = [F.col("src").alias("_m"), F.col("dst").alias("_d")]
     if carry is not None:
-        cols.append(_CARRY[carry].edge(prop).alias("_p"))
+        cols.append(_CARRY[carry].edge().alias("_p"))
     adj = edges.select(*cols).repartition("_m")
     return _merged(adj, ("_m", "_d"), carry, "_p")
 
@@ -120,7 +120,6 @@ def expand(
     lower: int,
     upper: int,
     carry: str | None = None,
-    prop: str = "ts",
     sources: DataFrame | None = None,
     through: DataFrame | None = None,
     targets: DataFrame | None = None,
@@ -128,12 +127,12 @@ def expand(
     """Distinct pairs ``(src, dst)`` connected by a walk of length in
     ``[lower, upper]``, ``0 <= lower <= upper``.
 
-    ``carry="max"`` adds ``m``, the maximum of edge property ``prop`` over
-    all edges of all such walks; ``carry="count"`` adds ``m``, the number
-    of such walks. ``sources``, ``through`` and ``targets`` are DataFrames
-    with an ``id`` column: walks start at a source, pass only through
-    ``through`` vertices, and are emitted only where they end at a target
-    (``None`` = no restriction).
+    ``carry="max"`` adds ``m``, the maximum edge ``ts`` over all edges of
+    all such walks (Q4's value and every connector's ``ts``, § VI-A);
+    ``carry="count"`` adds ``m``, the number of such walks. ``sources``,
+    ``through`` and ``targets`` are DataFrames with an ``id`` column: walks
+    start at a source, pass only through ``through`` vertices, and are
+    emitted only where they end at a target (``None`` = no restriction).
 
     A zero-length walk is ``(v, v)`` for every ``sources`` id that
     ``targets`` keeps, so ``lower = 0`` needs ``sources``; it carries no
@@ -151,7 +150,7 @@ def expand(
             raise ValueError("lower=0 needs sources and no carry")
         ids = sources.select(F.col("id").alias("src"), F.col("id").alias("dst"))
         pieces.append(ids.repartition("src"))  # keyed by source, as walks are
-    adj = _adjacency(edges, carry, prop)  # lazy: upper = 0 never reads it
+    adj = _adjacency(edges, carry)  # lazy: upper = 0 never reads it
     if upper > 1:  # both are read again by every hop
         adj = adj.localCheckpoint(eager=False)
     cols = [F.col("_m").alias("src"), F.col("_d").alias("dst")]
@@ -184,25 +183,21 @@ def khop_pairs(edges: DataFrame, k: int) -> DataFrame:
     return expand(edges, k, k)
 
 
-def khop_walk_count(edges: DataFrame, k: int, exclude_loops: bool = True) -> int:
-    """Number of k-edge walks; with ``exclude_loops``, walks whose
-    endpoints coincide are dropped (for k ≤ 2 on a loop-free graph this
-    equals the number of k-length *simple* paths — the quantity Fig. 5
-    compares the estimator against for 2-hop connectors)."""
+def khop_walk_count(edges: DataFrame, k: int) -> int:
+    """Number of k-edge walks between distinct endpoints: closed walks
+    are dropped. For k ≤ 2 on a loop-free graph this is the number of
+    k-length *simple* paths, the quantity Fig. 5 compares the estimator
+    against for 2-hop connectors."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    walks = expand(edges, k, k, carry="count")
-    if exclude_loops:
-        walks = walks.where(F.col("src") != F.col("dst"))
+    walks = expand(edges, k, k, carry="count").where(F.col("src") != F.col("dst"))
     row = walks.agg(F.sum("m").alias("total")).collect()[0]
     return int(row["total"] or 0)
 
 
-def khop_pairs_with_max(
-    edges: DataFrame, lower: int, upper: int, prop: str = "ts"
-) -> DataFrame:
-    """Distinct pairs within ``[lower, upper]`` hops, with the maximum of
-    edge property ``prop`` over *all* edges of *all* connecting walks.
+def khop_pairs_with_max(edges: DataFrame, lower: int, upper: int) -> DataFrame:
+    """Distinct pairs within ``[lower, upper]`` hops, with ``m``, the
+    maximum edge ``ts`` over *all* edges of *all* connecting walks.
 
     Max is associative and commutative, so this composes exactly across
     path contraction: running it over a connector whose edges carry the
@@ -211,7 +206,7 @@ def khop_pairs_with_max(
     """
     if lower < 1:
         raise ValueError("lower must be >= 1 (zero-length paths carry no edges)")
-    return expand(edges, lower, upper, carry="max", prop=prop)
+    return expand(edges, lower, upper, carry="max")
 
 
 def restrict_endpoints(

@@ -56,13 +56,12 @@ def khop_connector(
     k: int,
     src_type: str | None = None,
     dst_type: str | None = None,
-    etype: str | None = None,
 ) -> PropertyGraph:
     """Materialize a k-hop connector between ``src_type`` → ``dst_type``
     vertices (``None`` = untyped, for homogeneous vertex-to-vertex
-    connectors). ``etype`` names the connector edge type; defaults to
-    ``CONN{k}_{src}_{dst}`` (matching
-    :class:`repro.core.enumerator.ConnectorCandidate.edge_type`)."""
+    connectors). Its edge type is ``CONN{k}_{src}_{dst}`` (an untyped end
+    is ``Vertex``), the name
+    :attr:`repro.core.enumerator.ConnectorCandidate.edge_type` gives."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pairs = expand(
@@ -70,7 +69,7 @@ def khop_connector(
         sources=_typed(graph, src_type),
         targets=_typed(graph, dst_type),
     )
-    etype = etype or f"CONN{k}_{src_type or 'Vertex'}_{dst_type or 'Vertex'}"
+    etype = f"CONN{k}_{src_type or 'Vertex'}_{dst_type or 'Vertex'}"
     anchors = [t for t in (src_type, dst_type) if t]
     vertices = graph.vertices
     if anchors:
@@ -78,14 +77,11 @@ def khop_connector(
     return _connector(graph, vertices, pairs, etype)
 
 
-def upto_khop_connector(
-    graph: PropertyGraph,
-    k: int,
-    etype: str | None = None,
-) -> PropertyGraph:
+def upto_khop_connector(graph: PropertyGraph, k: int) -> PropertyGraph:
     """Vertex-to-vertex connector for *homogeneous* networks (§ VII-F):
-    one edge per vertex pair within ``1..k`` hops, carrying the max
-    edge-``ts`` over all such walks.
+    one edge per vertex pair within ``1..k`` hops, of edge type
+    ``CONN1TO{k}_Vertex_Vertex``, carrying the max edge-``ts`` over all
+    such walks.
 
     Exact-k contraction is only equivalence-preserving when the schema
     forces all path lengths to be multiples of k (bipartite job↔file).
@@ -96,7 +92,7 @@ def upto_khop_connector(
     if k < 1:
         raise ValueError("k must be >= 1")
     pairs = expand(graph.edges, 1, k, carry="max")
-    return _connector(graph, graph.vertices, pairs, etype or f"CONN1TO{k}_Vertex_Vertex")
+    return _connector(graph, graph.vertices, pairs, f"CONN1TO{k}_Vertex_Vertex")
 
 
 def same_vertex_type_connector(

@@ -57,6 +57,12 @@ PROFILES = {
 # orders with the datasets themselves — DESIGN.md § Scale factors).
 FIG5_PREFIXES = {"test": [300, 1000, 3000], "bench": [1000, 3000, 10_000]}
 
+# § V-B space budget per graph edge. The paper's is a share of machine
+# *memory* (§ V-B fn. 4): hundreds of times our SF-scaled graphs. It must
+# keep k=2 connectors and reject k≥4 (priced orders of magnitude larger
+# by Eq. 3), which any value in [~50, ~10000] does.
+BUDGET_EDGES_PER_EDGE = 200.0
+
 # Label-propagation iterations (paper: 25 baseline / ~half on the view;
 # we use an even 12/6 at bench scale to keep the halving exact and the
 # suite's wall-clock within CI budget — EXPERIMENTS.md).
@@ -148,10 +154,11 @@ def _edge_prefix(graph: PropertyGraph, n: int) -> PropertyGraph:
     return PropertyGraph(vertices=vertices, edges=edges, name=f"{graph.name}[:{n}]")
 
 
-def fig5_rows(spark: SparkSession, profile: str = "test", k: int = 2) -> list[dict]:
-    """Estimated vs. actual 2-hop connector sizes over edge prefixes and
-    then the whole graph: columns est50 / est95 (Eq. 2/3), est_er
-    (Eq. 1), actual (k-length path count), and the edge count |E|."""
+def fig5_rows(spark: SparkSession, profile: str = "test") -> list[dict]:
+    """Estimated vs. actual 2-hop connector sizes (§ VII-D measures
+    2-hop paths) over edge prefixes and then the whole graph: columns
+    est50 / est95 (Eq. 2/3), est_er (Eq. 1), actual (2-edge walks between
+    distinct endpoints), and the edge count |E|."""
     graphs: list[tuple[str, PropertyGraph]] = []
     for name, _raw, summ, _spec in heterogeneous_graphs(spark, profile):
         graphs.append((name, summ))
@@ -168,10 +175,10 @@ def fig5_rows(spark: SparkSession, profile: str = "test", k: int = 2) -> list[di
                 {
                     "dataset": name,
                     "E": stats.n_edges,
-                    "est50": estimate_khop_paths(stats, k, 50),
-                    "est95": estimate_khop_paths(stats, k, 95),
-                    "est_er": er_estimate(stats.n_vertices, stats.n_edges, k),
-                    "actual": khop_walk_count(sub.edges, k),
+                    "est50": estimate_khop_paths(stats, 2, 50),
+                    "est95": estimate_khop_paths(stats, 2, 95),
+                    "est_er": er_estimate(stats.n_vertices, stats.n_edges, 2),
+                    "actual": khop_walk_count(sub.edges, 2),
                 }
             )
             sub.unpersist()
@@ -301,18 +308,11 @@ def fig7_rows(spark: SparkSession, profile: str = "test") -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def end_to_end_selection_rows(
-    spark: SparkSession, profile: str = "test", budget_frac: float = 200.0
-) -> list[dict]:
+def end_to_end_selection_rows(spark: SparkSession, profile: str = "test") -> list[dict]:
     """The full Kaskade loop on each heterogeneous dataset: enumerate
     candidates for Q1's pattern, estimate sizes, select under a budget
-    of ``budget_frac × |E|``, and report the chosen views + rewriting.
-
-    The paper's space budget is a percentage of machine *memory*
-    (§ V-B fn. 4), which at our SF-scaled sizes is hundreds of times the
-    graph — hence the default. The budget's job is to discriminate k=2
-    connectors (selected) from k≥4 (priced orders of magnitude larger by
-    Eq. 3 — and rejected), which it does at any frac in [~50, ~10000]."""
+    of ``BUDGET_EDGES_PER_EDGE × |E|``, and report the chosen views +
+    rewriting."""
     rows = []
     for name, _raw, summ, spec in heterogeneous_graphs(spark, profile):
         stats = collect_stats(summ)
@@ -320,7 +320,7 @@ def end_to_end_selection_rows(
         cm = CostModel(schema=spec.schema, alpha=95)
         selector = ViewSelector(enum, cm)
         pattern = q1_pattern(spec)
-        res = selector.select([pattern], stats, budget=budget_frac * stats.n_edges)
+        res = selector.select([pattern], stats, BUDGET_EDGES_PER_EDGE * stats.n_edges)
         for item in res.items:
             chosen = item.view in res.chosen
             rw = rewrite_with_connector(pattern, item.view, spec.schema)

@@ -28,7 +28,8 @@ from ..core.enumerator import ConnectorCandidate
 from ..core.pattern import QueryPattern, parse_match
 from ..core.rewriter import rewrite_with_connector
 from ..core.schema import GraphSchema
-from ..engine.pattern_exec import element_pairs, execute_pattern, with_vertex_props
+from ..engine.hybrid import run_hybrid
+from ..engine.pattern_exec import element_pairs, execute_pattern
 from ..engine.property_graph import PropertyGraph
 from ..views.algorithms import label_propagation, largest_community
 from ..views.connectors import khop_connector, materialize, upto_khop_connector
@@ -83,7 +84,7 @@ def homogeneous_spec(name: str) -> WorkloadSpec:
 def build_connector(graph: PropertyGraph, view: ConnectorCandidate) -> PropertyGraph:
     """Materialize the connector ``view`` describes over ``graph``."""
     if view.kind == "upto_khop":
-        conn = upto_khop_connector(graph, view.k, view.edge_type)
+        conn = upto_khop_connector(graph, view.k)
     else:
         conn = khop_connector(graph, view.k, view.src_type, view.dst_type)
     return materialize(conn)
@@ -123,18 +124,18 @@ def q1_pattern(spec: WorkloadSpec, mid_hops: int = 8) -> QueryPattern:
     )
 
 
+_Q1_SQL = """
+SELECT A_pname AS pipeline, AVG(T_CPU) AS avg_cpu FROM (
+    SELECT A, A_pname, SUM(B_cpu) AS T_CPU
+    FROM match_result GROUP BY A, A_pname, B
+) GROUP BY A_pname
+"""
+
+
 def _q1_aggregate(graph: PropertyGraph, pattern: QueryPattern) -> DataFrame:
-    """The relational tail of Lst. 1: per (A, B) pair T_CPU, then
-    AVG(T_CPU) grouped by A's pipeline name."""
-    flat = with_vertex_props(execute_pattern(graph, pattern), graph, ["A", "B"])
-    per_pair = flat.groupBy("A", "A_pname", "B").agg(
-        F.sum("B_cpu").alias("T_CPU")
-    )
-    return (
-        per_pair.groupBy("A_pname")
-        .agg(F.avg("T_CPU").alias("avg_cpu"))
-        .select(F.col("A_pname").alias("pipeline"), "avg_cpu")
-    )
+    """Lst. 1 as the hybrid query it is (§ III-B): its SQL, per (A, B)
+    pair T_CPU then AVG(T_CPU) by A's pipeline, run over the MATCH."""
+    return run_hybrid(graph.vertices.sparkSession, graph, pattern, _Q1_SQL)
 
 
 def q1_blast_radius(

@@ -19,6 +19,8 @@ from repro.core import (
     path_vertex_types,
     unconstrained_schema_walk_count,
 )
+from repro.core.rules import build_engine
+from repro.prolog import Var, s
 
 
 @pytest.fixture(scope="module")
@@ -31,17 +33,28 @@ def enum():
     return ViewEnumerator(PROVENANCE_CORE)
 
 
+def _unprojected(pattern):
+    """Candidates of the ``kHopConnector`` template itself (Listing 3),
+    which ``projectedKHopConnector`` anchors at projected vertices."""
+    X, Y, XT, YT, K = (Var(n) for n in ("X", "Y", "XT", "YT", "K"))
+    eng = build_engine(pattern, PROVENANCE_CORE)
+    return {
+        ConnectorCandidate(r["X"], r["Y"], r["XT"], r["YT"], r["K"])
+        for r in eng.query(s("kHopConnector", X, Y, XT, YT, K))
+    }
+
+
 class TestBlastRadiusConnectors:
     def test_projected_candidates_match_paper(self, enum, blast):
         """§ IV-B: valid instantiations are (q_j1, q_j2, Job, Job, K) for
         K = 2, 4, 6, 8, 10 — exactly."""
-        cands = enum.khop_connectors(blast, projected_only=True)
+        cands = enum.khop_connectors(blast)
         assert [
             (c.src_var, c.dst_var, c.src_type, c.dst_type, c.k) for c in cands
         ] == [("q_j1", "q_j2", "Job", "Job", k) for k in [2, 4, 6, 8, 10]]
 
-    def test_unprojected_includes_file_connectors(self, enum, blast):
-        cands = enum.khop_connectors(blast, projected_only=False)
+    def test_unprojected_includes_file_connectors(self, blast):
+        cands = _unprojected(blast)
         ff = {(c.src_var, c.dst_var, c.k) for c in cands
               if c.src_type == "File" and c.dst_type == "File"}
         # File-to-file connectors from the 0..8 variable-length path:
@@ -50,20 +63,20 @@ class TestBlastRadiusConnectors:
         assert ("q_f1", "q_f2", 8) in ff
         assert all(k % 2 == 0 for (_, _, k) in ff)
 
-    def test_unprojected_includes_mixed_type_connectors(self, enum, blast):
-        cands = enum.khop_connectors(blast, projected_only=False)
+    def test_unprojected_includes_mixed_type_connectors(self, blast):
+        cands = _unprojected(blast)
         jf = [c for c in cands if (c.src_type, c.dst_type) == ("Job", "File")]
         assert jf and all(c.k % 2 == 1 for c in jf)
 
-    def test_no_odd_job_to_job(self, enum, blast):
-        cands = enum.khop_connectors(blast, projected_only=False)
+    def test_no_odd_job_to_job(self, blast):
+        cands = _unprojected(blast)
         assert all(
             c.k % 2 == 0 for c in cands
             if (c.src_type, c.dst_type) == ("Job", "Job")
         )
 
-    def test_k_bounded_by_query(self, enum, blast):
-        cands = enum.khop_connectors(blast, projected_only=False)
+    def test_k_bounded_by_query(self, blast):
+        cands = _unprojected(blast)
         assert max(c.k for c in cands) == 10
 
     def test_enumerate_runs_every_template(self, enum, blast):
@@ -108,10 +121,10 @@ class TestPruningClaims:
         # The paper's pruning claim: with both query and schema
         # constraints only 5 candidates survive for the running example,
         # versus 9 k-values x 4 type pairs = 36 unconstrained slots.
-        assert len(enum.khop_connectors(blast, projected_only=True)) == 5
+        assert len(enum.khop_connectors(blast)) == 5
         # Unprojected: 21 candidates vs. 4 type pairs x the schema walks
         # of every k <= 10 (EXPERIMENTS.md § IV).
-        survived = len(enum.khop_connectors(blast, projected_only=False))
+        survived = len(_unprojected(blast))
         raw_space = sum(
             unconstrained_schema_walk_count(PROVENANCE_CORE, k) * 4
             for k in range(1, 11)

@@ -26,7 +26,9 @@ def eng():
         s("property", "bytes", "j1", 7),
         # j2, j3 have no 'bytes' property — convlist must skip them.
     ]
-    return build_engine(pattern, PROVENANCE_CORE, extra_facts=extra)
+    eng = build_engine(pattern, PROVENANCE_CORE)
+    eng.add_facts(extra)
+    return eng
 
 
 class TestSumRule:

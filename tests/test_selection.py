@@ -121,14 +121,6 @@ class TestViewSelector:
         res = selector.select([blast, q4], _prov_stats(), budget=1e9)
         assert any(set(qmap) == {0, 1} for qmap in res.per_query_improvement.values())
 
-    def test_query_weights_scale_value(self, selector, blast):
-        stats = _prov_stats()
-        r1 = selector.select([blast], stats, budget=1e9, query_weights=[1.0])
-        r2 = selector.select([blast], stats, budget=1e9, query_weights=[10.0])
-        i1 = max(it.value for it in r1.items)
-        i2 = max(it.value for it in r2.items)
-        assert i2 == pytest.approx(10 * i1)
-
     def test_homogeneous_connector_unselected_when_too_big(self, blast):
         """§ VII-F: 2-hop connectors over homogeneous power-law networks
         are unlikely to be materialized — their estimated size exceeds

@@ -150,20 +150,16 @@ class TestWalkCount:
         assert khop_walk_count(fig3.edges, k) == expected
 
     @pytest.mark.parametrize(
-        "graph,k", [("cyclic", 2), ("cyclic", 4), ("tiny_prov", 2), ("tiny_prov", 3)]
+        "graph,k",
+        [("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("tiny_prov", 2), ("tiny_prov", 3)],
     )
     def test_counts_match_oracle(self, request, graph, k):
         """Walk multiplicity survives the kernel's per-hop merge, parallel
-        edges and cycles included."""
+        edges and cycles included. Closed walks are dropped: the triangle
+        in ``cyclic`` has three closed 3-walks (0→1→2→0 and rotations)."""
         g = request.getfixturevalue(graph)
         expected = _duckdb_scalar(_walk_count_sql(k), edges=g.edges.toPandas())
         assert khop_walk_count(g.edges, k) == expected
-
-    def test_cycle_loops_excluded_vs_included(self, cyclic):
-        # The triangle contributes closed 3-walks: 0→1→2→0 etc.
-        with_loops = khop_walk_count(cyclic.edges, 3, exclude_loops=False)
-        without = khop_walk_count(cyclic.edges, 3, exclude_loops=True)
-        assert with_loops == without + 3
 
     def test_empty_graph(self, spark):
         import pandas as pd

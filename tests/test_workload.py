@@ -85,6 +85,19 @@ HET_ENVS = ["prov_env", "dblp_env"]
 ALL_ENVS = ["prov_env", "dblp_env", "soc_env", "road_env"]
 
 
+@pytest.mark.parametrize(
+    "graph,spec", [("fig3", prov_spec()), ("cyclic", homogeneous_spec("cyclic"))]
+)
+def test_view_carries_its_candidates_edge_type(request, graph, spec):
+    """A rewriting reads the edge type its candidate names, and the
+    connector builder names the edges it writes: the two must agree, or
+    every rewritten query reads no edges. Covers a ``khop`` and an
+    ``upto_khop`` candidate."""
+    conn = build_connector(request.getfixturevalue(graph), spec.view)
+    assert conn.edge_types() == [spec.view.edge_type]
+    conn.unpersist()
+
+
 class TestQ1:
     @pytest.mark.parametrize("env", HET_ENVS)
     def test_view_equivalence(self, request, env):
